@@ -3,10 +3,12 @@
 Two computation paths:
 
 * ``betti_fine_matroid`` works for independence complexes only and never
-  builds a chain complex.  A subset carries a nonzero Betti number exactly
-  when it equals the union of the circuits it contains, the homological
-  degree is its nullity, and the value is the reduced Euler characteristic
-  of the restriction up to sign.
+  builds a chain complex; it reads everything off the matroid's rank table.
+  A subset carries a nonzero Betti number exactly when it equals the union
+  of the circuits it contains, i.e. when none of its elements is a coloop
+  of the restriction to it (rank(sigma - x) == rank(sigma) for every x in
+  sigma).  The homological degree is its nullity, and the value is the
+  reduced Euler characteristic of the restriction up to sign.
 * ``betti_fine_hochster`` works for any complex (Alexander duals included):
   beta_{i,sigma} is the reduced homology dimension of the induced
   subcomplex on sigma in degree |sigma| - i - 1.
@@ -20,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .finfield import PrimeField, as_field
-from .matroid import CapExceeded, Matroid, elements
+from .matroid import CapExceeded, Matroid, bit_halves, each_element, elements, popcounts
 from .simplicial import SimplicialComplex, faces_by_cardinality, homology_from_buckets
 
 # Full Hochster sweeps cost 2^n homology computations; refuse larger ground
@@ -104,41 +106,34 @@ class BettiTable:
 def betti_fine_matroid(M: Matroid) -> BettiTable:
     """Finely graded Betti numbers of the independence complex, homology-free.
 
-    Sweeps all subsets: sigma contributes exactly when it is the union of
-    the circuits it contains, in homological degree nullity(sigma), with
-    value (-1)^(rank(sigma)-1) times the reduced Euler characteristic of
-    the restriction.  The Euler characteristics of all restrictions come
-    from one subset-sum transform of the signed independence indicator.
+    Every sweep reads the matroid's rank table.  sigma contributes exactly
+    when it is the union of the circuits it contains, that is when no
+    element x of sigma is a coloop of the restriction to sigma:
+    rank(sigma - x) == rank(sigma) for every x in sigma.  The entry sits in
+    homological degree nullity(sigma), with value (-1)^(rank(sigma)-1)
+    times the reduced Euler characteristic of the restriction.  The Euler
+    characteristics of all restrictions come from one subset-sum transform
+    of the signed independence indicator.
     """
     n = M.n
-    size = 1 << n
-    rank_of = M.rank_table()
-    pops = [m.bit_count() for m in range(size)]
+    rank = M.rank_table()
+    pop = popcounts(n)
 
     # chi[mask] accumulates sum over independent tau <= mask of (-1)^(|tau|-1),
     # the reduced Euler characteristic of the restriction to mask.
-    chi = np.zeros(size, dtype=np.int64)
-    for mask in range(size):
-        if rank_of[mask] == pops[mask]:
-            chi[mask] = 1 if pops[mask] % 2 == 1 else -1
-    for j in range(n):
-        step = 1 << j
-        view = chi.reshape(-1, 2 * step)
-        view[:, step:] += view[:, :step]
+    chi = np.where(rank == pop, np.where(pop % 2 == 1, 1, -1), 0).astype(np.int64)
+    for with_bit, without in bit_halves(chi):
+        with_bit += without
 
-    circuits = M.circuits()
-    fine: dict[tuple[int, int], int] = {}
-    for mask in range(size):
-        union = 0
-        for c in circuits:
-            if c & ~mask == 0:
-                union |= c
-        if union != mask:
-            continue
-        r = rank_of[mask]
-        sign = 1 if r % 2 == 1 else -1
-        value = sign * int(chi[mask])
-        fine[(pops[mask] - r, mask)] = value
+    sigmas = np.flatnonzero(each_element(rank, np.equal))
+    ranks = rank[sigmas]
+    values = np.where(ranks % 2 == 1, 1, -1) * chi[sigmas]
+    fine = {
+        (size - r, mask): value
+        for mask, size, r, value in zip(
+            sigmas.tolist(), pop[sigmas].tolist(), ranks.tolist(), values.tolist()
+        )
+    }
     return BettiTable(n, fine)
 
 
@@ -169,46 +164,31 @@ def betti_fine_hochster(
     return BettiTable(cx.n, fine)
 
 
-class BettiDiagram:
-    """Betti diagram: beta_{i,d} sits in column i >= 1, row d - i; beta_0 omitted."""
-
-    def __init__(self, rows: dict[int, dict[int, int]], max_col: int):
-        self.rows = rows
-        self.max_col = max_col
-
-    @classmethod
-    def from_table(cls, table: BettiTable) -> "BettiDiagram":
-        rows: dict[int, dict[int, int]] = {}
-        max_col = 0
-        for (i, d), v in table.graded().items():
-            if i == 0:
-                continue
-            rows.setdefault(d - i, {})[i] = v
-            max_col = max(max_col, i)
-        return cls(rows, max_col)
-
-    def render(self) -> str:
-        if not self.rows:
-            return "(empty diagram)"
-        labels = range(min(self.rows), max(self.rows) + 1)
-        cells = [str(v) for row in self.rows.values() for v in row.values()]
-        width = max(len(c) for c in cells + [str(self.max_col)])
-        label_width = max(len(str(l)) for l in labels)
-        lines = [
-            " " * label_width
-            + " | "
-            + " ".join(str(i).rjust(width) for i in range(1, self.max_col + 1))
-        ]
-        for label in labels:
-            row = self.rows.get(label, {})
-            body = " ".join(
-                (str(row[i]) if i in row else "").rjust(width)
-                for i in range(1, self.max_col + 1)
-            )
-            lines.append((str(label).rjust(label_width) + " | " + body).rstrip())
-        return "\n".join(lines)
-
-
 def render_diagram(table: BettiTable) -> str:
-    """Deterministic text Betti diagram (blank cells for zeros)."""
-    return BettiDiagram.from_table(table).render()
+    """Deterministic text Betti diagram (blank cells for zeros).
+
+    beta_{i,d} sits in column i >= 1, row d - i; beta_0 is omitted.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    max_col = 0
+    for (i, d), v in table.graded().items():
+        if i == 0:
+            continue
+        rows.setdefault(d - i, {})[i] = v
+        max_col = max(max_col, i)
+    if not rows:
+        return "(empty diagram)"
+    labels = range(min(rows), max(rows) + 1)
+    cells = [str(v) for row in rows.values() for v in row.values()]
+    width = max(len(c) for c in cells + [str(max_col)])
+    label_width = max(len(str(l)) for l in labels)
+    lines = [
+        " " * label_width + " | " + " ".join(str(i).rjust(width) for i in range(1, max_col + 1))
+    ]
+    for label in labels:
+        row = rows.get(label, {})
+        body = " ".join(
+            (str(row[i]) if i in row else "").rjust(width) for i in range(1, max_col + 1)
+        )
+        lines.append((str(label).rjust(label_width) + " | " + body).rstrip())
+    return "\n".join(lines)

@@ -14,12 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import betti as betti_mod
 from .betti import BettiTable, betti_fine_hochster, betti_fine_matroid, render_diagram
 from .finfield import FieldMatrix, PrimeField
-from .matroid import DEFAULT_MAX_GROUND, CapExceeded, Matroid, elements
+from .matroid import DEFAULT_MAX_GROUND, CapExceeded, Matroid, elements, sweep_cost
 from .simplicial import independence_complex
 from .weights import (
     mds_profile,
@@ -53,22 +53,37 @@ class InputSpec:
     payload: object
 
 
+def _integer(value, what: str) -> int:
+    # bool is a subclass of int, but JSON true/false are not numbers.
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _integers(value, what: str) -> list[int]:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list of integers, got {json.dumps(value)}")
+    return [_integer(v, f"{what} entry") for v in value]
+
+
 def _one_based_sets(raw, n: int, what: str) -> list[list[int]]:
+    if not isinstance(raw, list):
+        raise InputError(f"'{what}s' must be a list of {what}s, got {json.dumps(raw)}")
     out = []
     for group in raw:
-        converted = []
+        group = _integers(group, f"a {what}")
         for e in group:
-            e = int(e)
             if not 1 <= e <= n:
                 raise InputError(f"{what} element {e} out of range 1..{n}")
-            converted.append(e - 1)
-        out.append(converted)
+        if len(set(group)) != len(group):
+            raise InputError(f"{what} {group} repeats an element")
+        out.append([e - 1 for e in group])
     return out
 
 
 def parse_input_text(text: str) -> InputSpec:
     stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if stripped.startswith(("{", "[")):
         return _parse_json(stripped)
     return _parse_matrix_text(text)
 
@@ -90,21 +105,25 @@ def _parse_json(text: str) -> InputSpec:
         if "field" not in obj:
             raise InputError("matrix input needs a 'field' entry")
         rows = obj["matrix"]
-        if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
+        if not isinstance(rows, list) or not rows:
             raise InputError("'matrix' must be a non-empty list of rows")
-        n = len(rows[0])
-        return InputSpec("matrix", int(obj["field"]), n, rows)
-    if source == "uniform":
-        pair = obj["uniform"]
-        if not (isinstance(pair, list) and len(pair) == 2):
+        rows = [_integers(row, "a matrix row") for row in rows]
+        spec = InputSpec("matrix", _integer(obj["field"], "'field'"), len(rows[0]), rows)
+    elif source == "uniform":
+        pair = _integers(obj["uniform"], "'uniform'")
+        if len(pair) != 2:
             raise InputError("'uniform' must be [r, n]")
-        r, n = int(pair[0]), int(pair[1])
-        return InputSpec("uniform", None, n, (r, n))
-    if "n" not in obj:
-        raise InputError(f"'{source}' input needs a ground set size 'n'")
-    n = int(obj["n"])
-    groups = _one_based_sets(obj[source], n, source[:-1] if source.endswith("s") else source)
-    return InputSpec(source, None, n, groups)
+        spec = InputSpec("uniform", None, pair[1], tuple(pair))
+    else:
+        if "n" not in obj:
+            raise InputError(f"'{source}' input needs a ground set size 'n'")
+        n = _integer(obj["n"], "'n'")
+        if n < 0:
+            raise InputError(f"'n' must be >= 0, got {n}")
+        return InputSpec(source, None, n, _one_based_sets(obj[source], n, source[:-1]))
+    if "n" in obj and obj["n"] != spec.n:
+        raise InputError(f"'n' is {json.dumps(obj['n'])}, but the {source} has {spec.n} elements")
+    return spec
 
 
 def _parse_matrix_text(text: str) -> InputSpec:
@@ -168,7 +187,8 @@ def _resolve(args) -> tuple[Matroid, Matroid, bool]:
     max_n = args.max_n if args.max_n is not None else DEFAULT_MAX_GROUND
     if args.max_n is not None and args.max_n > DEFAULT_MAX_GROUND:
         print(
-            f"warning: cap raised to {args.max_n}; subset sweeps are O(2^n)",
+            f"warning: cap raised to {args.max_n}; a ground set that large costs"
+            f" {sweep_cost(args.max_n)}",
             file=sys.stderr,
         )
     base = build_matroid(load_input(args.input), max_n)
@@ -249,18 +269,8 @@ def cmd_mds(args) -> int:
     _, M, _ = _resolve(args)
     profile = mds_profile(M, betti_fine_matroid(M))
     if args.json:
-        obj = {
-            "k": profile.k,
-            "rank": profile.rank,
-            "weights": list(profile.weights),
-            "mds_level": profile.mds_level,
-            "is_mds": profile.is_mds,
-            "linear_resolution": profile.linear_resolution,
-            "tail_is_linear": profile.tail_is_linear,
-            "isthmus_free": profile.isthmus_free,
-            "isthmuses": [e + 1 for e in profile.isthmuses],
-            "alexander_dual_is_matroid": profile.alexander_dual_is_matroid,
-        }
+        obj = asdict(profile)
+        obj["isthmuses"] = [e + 1 for e in profile.isthmuses]
         print(json.dumps(obj, indent=2))
         return EXIT_OK
     print("weights: " + " ".join(str(d) for d in profile.weights))
@@ -291,11 +301,10 @@ def verify_matroid(M: Matroid, hochster_cap: int) -> list[tuple[str, bool | None
         ("homology field independence GF(2)/GF(3)/GF(5)", hoch[2] == hoch[3] == hoch[5])
     )
     k = M.n - M.rank(M.full)
-    results.append(
-        ("weights from Betti vs brute force", weights_from_betti(fast, k) == weights_bruteforce(M))
-    )
+    brute = weights_bruteforce(M)
+    results.append(("weights from Betti vs brute force", weights_from_betti(fast, k) == brute))
     results.append(("Wei duality partition", wei_duality_check(M)))
-    results.append(("d_k equals support size", k == 0 or weights_bruteforce(M)[-1] == support_size(M)))
+    results.append(("d_k equals support size", k == 0 or brute[-1] == support_size(M)))
     return results
 
 

@@ -1,8 +1,11 @@
 """Matroids on bitmask ground sets: rank/nullity, circuits, duality, restriction.
 
 Subsets of the ground set {0, ..., n-1} are bitmasks throughout; element i
-corresponds to bit ``1 << i``.  Every enumeration here is O(2^n) in the worst
-case, so ground sets are capped (default 20) instead of silently hanging.
+corresponds to bit ``1 << i``.  A matroid's one source of truth is its dense
+rank table, one int8 per subset, indexed by bitmask.  Circuits, bases, loops,
+isthmuses, duals and restrictions are all read off that table.  It costs
+2^n bytes and an O(n 2^n) sweep, so ground sets are capped (default 20)
+instead of silently hanging.
 
 Beyond the usual matroid calculus this module implements the non-redundant
 circuit machinery: a family of circuits is non-redundant when each member
@@ -13,8 +16,9 @@ family of exactly that size.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .finfield import FieldMatrix, matrix_rank
 
@@ -23,6 +27,12 @@ DEFAULT_MAX_GROUND = 20
 
 class CapExceeded(ValueError):
     """Ground set larger than the configured bitmask cap."""
+
+
+def sweep_cost(n: int) -> str:
+    """The work and memory of one subset sweep over n elements, for messages."""
+    shift, unit = next((s, u) for s, u in ((20, "MiB"), (10, "KiB"), (0, "bytes")) if n >= s)
+    return f"2^{n} = {1 << n} subsets, with a {1 << (n - shift)} {unit} rank table"
 
 
 def mask_of(elems: Iterable[int]) -> int:
@@ -55,12 +65,39 @@ def submasks(mask: int):
         sub = (sub - 1) & mask
 
 
+def bit_halves(values: np.ndarray):
+    """Per bit j, views of a per-subset array at the masks holding bit j and
+    at the same masks without it: one reshape into blocks of 2^(j+1) masks."""
+    step = 1
+    while step < values.size:
+        blocks = values.reshape(-1, 2 * step)
+        yield blocks[:, step:], blocks[:, :step]
+        step *= 2
+
+
+def popcounts(n: int) -> np.ndarray:
+    """|mask| for every mask below 2^n, as int8."""
+    pop = np.zeros(1 << n, dtype=np.int8)
+    for with_bit, _ in bit_halves(pop):
+        with_bit += 1
+    return pop
+
+
+def each_element(values: np.ndarray, holds) -> np.ndarray:
+    """Per mask: does ``holds(values[mask], values[mask ^ bit])`` hold for
+    every bit of mask?  The empty mask holds vacuously."""
+    out = np.ones(values.size, dtype=bool)
+    for (out_with, _), (with_bit, without) in zip(bit_halves(out), bit_halves(values)):
+        out_with &= holds(with_bit, without)
+    return out
+
+
 class Matroid:
     """A matroid given by a rank oracle on bitmask subsets of {0..n-1}.
 
-    Instances are immutable after construction; the rank memo is a plain
-    dict filled with deterministic values, so concurrent readers can only
-    ever observe a consistent rank (worst case a benign recomputation).
+    The oracle is asked only while ``rank_table`` builds the dense table on
+    first use; every query after that reads the table.  Instances are
+    immutable after construction, and the table is read-only.
     """
 
     def __init__(
@@ -74,16 +111,16 @@ class Matroid:
             raise ValueError("ground set size must be >= 0")
         if n > max_n:
             raise CapExceeded(
-                f"ground set size {n} exceeds the cap {max_n}; subset sweeps are O(2^n),"
+                f"ground set size {n} exceeds the cap {max_n}; subset sweeps cover {sweep_cost(n)};"
                 f" raise max_n explicitly to proceed"
             )
         self.n = n
         self.provenance = provenance
+        self.max_n = max_n
         self._rank_fn = rank_fn
-        self._memo: dict[int, int] = {0: 0}
+        self._table: np.ndarray | None = None
         self._circuits: tuple[int, ...] | None = None
         self._bases: tuple[int, ...] | None = None
-        self._rank_table: list[int] | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -128,9 +165,7 @@ class Matroid:
         def rank_fn(mask: int) -> int:
             return max((mask & b).bit_count() for b in base_masks)
 
-        M = cls(n, rank_fn, provenance="bases", max_n=max_n)
-        M._bases = tuple(sorted(base_masks))
-        return M
+        return cls(n, rank_fn, provenance="bases", max_n=max_n)
 
     @classmethod
     def from_circuits(
@@ -172,9 +207,7 @@ class Matroid:
                     indep = cand
             return indep.bit_count()
 
-        M = cls(n, rank_fn, provenance="circuits", max_n=max_n)
-        M._circuits = tuple(circ_masks)
-        return M
+        return cls(n, rank_fn, provenance="circuits", max_n=max_n)
 
     @classmethod
     def uniform(cls, r: int, n: int, max_n: int = DEFAULT_MAX_GROUND) -> "Matroid":
@@ -187,19 +220,51 @@ class Matroid:
 
         return cls(n, rank_fn, provenance="uniform", max_n=max_n)
 
-    # -- rank oracle ---------------------------------------------------
+    def _derived(self, n: int, table: np.ndarray, provenance: str) -> "Matroid":
+        """The matroid on n elements with this rank table, under this one's cap."""
+        table.setflags(write=False)
+        M = Matroid(n, table.item, provenance, self.max_n)
+        M._table = table
+        return M
+
+    # -- the rank table --------------------------------------------------
 
     @property
     def full(self) -> int:
         return (1 << self.n) - 1
 
+    def rank_table(self) -> np.ndarray:
+        """Ranks of all 2^n subsets as a read-only int8 array indexed by bitmask.
+
+        Built once: a depth-first search over the independent sets asks the
+        oracle only whether I + x is independent, for x above max(I), and so
+        reaches each independent set once from its parent I - max(I).  A
+        subset-max transform then gives every subset S its rank, the
+        largest |I| over independent I inside S.
+        """
+        if self._table is None:
+            n, rank_fn = self.n, self._rank_fn
+            found = bytearray(1 << n)  # |I| at each independent I, 0 elsewhere
+            stack = [(0, 0)]  # (independent set, smallest element that may extend it)
+            while stack:
+                indep, start = stack.pop()
+                size = found[indep] + 1
+                for x in range(start, n):
+                    cand = indep | 1 << x
+                    if rank_fn(cand) == size:
+                        found[cand] = size
+                        stack.append((cand, x + 1))
+            table = np.frombuffer(found, dtype=np.int8)
+            for with_bit, without in bit_halves(table):
+                np.maximum(with_bit, without, out=with_bit)
+            table.setflags(write=False)
+            self._table = table
+        return self._table
+
     def rank(self, mask: int) -> int:
-        r = self._memo.get(mask)
-        if r is None:
-            if mask < 0 or mask > self.full:
-                raise ValueError("subset is not inside the ground set")
-            r = self._memo[mask] = self._rank_fn(mask)
-        return r
+        if mask < 0 or mask > self.full:
+            raise ValueError("subset is not inside the ground set")
+        return self.rank_table().item(mask)
 
     def nullity(self, mask: int) -> int:
         return mask.bit_count() - self.rank(mask)
@@ -207,89 +272,56 @@ class Matroid:
     def is_independent(self, mask: int) -> bool:
         return self.rank(mask) == mask.bit_count()
 
-    def rank_table(self) -> list[int]:
-        """Ranks of all 2^n subsets, indexed by bitmask."""
-        if self._rank_table is None:
-            self._rank_table = [self.rank(m) for m in range(1 << self.n)]
-        return self._rank_table
-
     # -- derived structure ----------------------------------------------
 
     def circuits(self) -> tuple[int, ...]:
-        """All circuits (minimal dependent sets) as bitmasks.
+        """All circuits (minimal dependent sets) as bitmasks, by (size, mask).
 
-        Enumerated breadth-first by cardinality, pruning supersets of the
-        circuits already found; circuits have at most rank+1 elements.
+        A circuit is a dependent set whose one-smaller subsets are all
+        independent.
         """
         if self._circuits is None:
-            found: list[int] = []
-            top = self.rank(self.full)
-            for size in range(1, top + 2):
-                for combo in combinations(range(self.n), size):
-                    m = mask_of(combo)
-                    if any(c & ~m == 0 for c in found):
-                        continue
-                    if self.rank(m) < size:
-                        found.append(m)
+            independent = self.rank_table() == popcounts(self.n)
+            minimal = each_element(independent, lambda _, smaller: smaller)
+            found = np.flatnonzero(~independent & minimal).tolist()
             self._circuits = tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
         return self._circuits
 
     def bases(self) -> tuple[int, ...]:
-        """All bases (maximal independent sets) as bitmasks."""
+        """All bases (independent sets of full rank) as increasing bitmasks."""
         if self._bases is None:
-            r = self.rank(self.full)
-            found = []
-            for combo in combinations(range(self.n), r):
-                m = mask_of(combo)
-                if self.rank(m) == r:
-                    found.append(m)
-            self._bases = tuple(found)
+            table = self.rank_table()
+            top = table[-1]
+            self._bases = tuple(np.flatnonzero((table == top) & (popcounts(self.n) == top)).tolist())
         return self._bases
 
     def loops(self) -> int:
         """Bitmask of rank-zero elements."""
-        m = 0
-        for x in range(self.n):
-            if self.rank(1 << x) == 0:
-                m |= 1 << x
-        return m
+        table = self.rank_table()
+        return mask_of(x for x in range(self.n) if table[1 << x] == 0)
 
     def isthmuses(self) -> int:
         """Bitmask of elements lying in no circuit (loops of the dual)."""
-        m = 0
-        top = self.rank(self.full)
-        for x in range(self.n):
-            if self.rank(self.full ^ (1 << x)) == top - 1:
-                m |= 1 << x
-        return m
+        table = self.rank_table()
+        return mask_of(x for x in range(self.n) if table[self.full ^ (1 << x)] < table[-1])
 
     def dual(self) -> "Matroid":
-        """Matroid whose bases are the complements of this one's bases."""
-        parent = self
-        full = self.full
-        top = self.rank(full)
-
-        def rank_fn(mask: int) -> int:
-            return mask.bit_count() + parent.rank(full ^ mask) - top
-
-        return Matroid(self.n, rank_fn, provenance=f"dual-of-{self.provenance}")
+        """Matroid whose bases are the complements of this one's bases:
+        rank*(S) = |S| + rank(E - S) - rank(E)."""
+        table = self.rank_table()
+        dual = popcounts(self.n) + table[::-1] - table[-1]
+        return self._derived(self.n, dual, f"dual-of-{self.provenance}")
 
     def restrict(self, mask: int) -> "Matroid":
         """Restriction to ``mask``, reindexed onto {0..|mask|-1}."""
+        if mask < 0 or mask > self.full:
+            raise ValueError("subset is not inside the ground set")
         elems = elements(mask)
-        bits = [1 << e for e in elems]
-        parent = self
-
-        def rank_fn(sub: int) -> int:
-            pm = 0
-            s = sub
-            while s:
-                b = s & -s
-                s ^= b
-                pm |= bits[b.bit_length() - 1]
-            return parent.rank(pm)
-
-        return Matroid(len(elems), rank_fn, provenance=f"restriction-of-{self.provenance}")
+        parent_mask = np.zeros(1 << len(elems), dtype=np.int64)
+        for j, e in enumerate(elems):
+            parent_mask[1 << j : 2 << j] = parent_mask[: 1 << j] | (1 << e)
+        table = self.rank_table()[parent_mask]
+        return self._derived(len(elems), table, f"restriction-of-{self.provenance}")
 
 
 # -- non-redundant circuit calculus -------------------------------------

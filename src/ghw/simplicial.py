@@ -88,9 +88,6 @@ class SimplicialComplex:
             self._face_table = table
         return self._face_table
 
-    def is_face(self, mask: int) -> bool:
-        return any(mask & ~f == 0 for f in self.facets)
-
     def f_vector(self) -> tuple[int, ...]:
         """Face counts (f_-1, f_0, ..., f_dim); () for the void complex."""
         if self.is_void:
@@ -261,15 +258,6 @@ def reduced_homology(cx: SimplicialComplex, field: PrimeField | int = 2) -> dict
     if cx.is_void:
         return {}
     return homology_from_buckets(faces_by_cardinality(cx, (1 << cx.n) - 1), p)
-
-
-def boundary_matrices(cx: SimplicialComplex, field: PrimeField | int = 2) -> list[np.ndarray]:
-    """All boundary matrices of the complex, lowest dimension first."""
-    p = as_field(field).p
-    buckets = faces_by_cardinality(cx, (1 << cx.n) - 1)
-    return [
-        boundary_matrix(buckets[c - 1], buckets[c], p) for c in range(1, len(buckets))
-    ]
 
 
 def reduced_euler_char(cx: SimplicialComplex) -> int:

@@ -34,7 +34,7 @@ def weights_bruteforce(M: Matroid) -> tuple[int, ...]:
     """Direct minimization of |sigma| over nullity classes; the oracle path."""
     k = M.n - M.rank(M.full)
     best = [None] * (k + 1)
-    rank_of = M.rank_table()
+    rank_of = M.rank_table().tolist()
     for mask in range(1 << M.n):
         size = mask.bit_count()
         i = size - rank_of[mask]
@@ -128,7 +128,7 @@ def mds_profile(M: Matroid, table: BettiTable) -> MdsProfile:
 def whitney_polynomial(M: Matroid) -> dict[tuple[int, int], int]:
     """Coefficients of W(x, y) = sum over subsets X of x^(r(E)-r(X)) y^(|X|-r(X))."""
     r = M.rank(M.full)
-    rank_of = M.rank_table()
+    rank_of = M.rank_table().tolist()
     coeffs: dict[tuple[int, int], int] = {}
     for mask in range(1 << M.n):
         key = (r - rank_of[mask], mask.bit_count() - rank_of[mask])

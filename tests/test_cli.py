@@ -209,6 +209,35 @@ def test_cap_exceeded(tmp_path, capsys):
     assert "cap" in err
 
 
+def test_cap_raised_holds_through_dual(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"uniform": [2, 21]}'))
+    code, out, err = run(capsys, "weights", "-", "--complex", "dual", "--max-n", "21")
+    assert code == 0
+    assert out == "d: 20 21\n"
+    assert "2^21 = 2097152 subsets" in err and "2 MiB rank table" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"n": 3, "bases": 5}', "'bases' must be a list"),
+        ('{"field": 2, "matrix": [[1, [2]]]}', "must be an integer, got [2]"),
+        ('{"field": true, "matrix": [[1]]}', "'field' must be an integer"),
+        ('{"n": 2, "bases": [[1, 1]]}', "repeats an element"),
+        ('{"n": -1, "bases": [[]]}', "'n' must be >= 0"),
+        ("[1, 2]", "must be an object"),
+        ('{"uniform": [2, 4], "n": 7}', "'n' is 7, but the uniform has 4 elements"),
+    ],
+)
+def test_malformed_input_one_line_error(text, message, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run(capsys, "weights", "-")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_cap_override_lowered(tmp_path, capsys):
     mid = tmp_path / "mid.json"
     mid.write_text('{"uniform": [2, 12]}')

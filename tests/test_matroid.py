@@ -112,6 +112,10 @@ def test_ground_set_cap():
         Matroid.uniform(2, 21)
     M = Matroid.uniform(2, 21, max_n=21)
     assert M.rank(M.full) == 2
+    # A raised cap holds through every derived matroid.
+    assert M.dual().rank(M.full) == 19
+    assert M.restrict(M.full).rank(M.full) == 2
+    assert M.dual().max_n == M.restrict(M.full).max_n == 21
 
 
 def test_dual_involution(m1, m2):

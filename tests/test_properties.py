@@ -1,15 +1,19 @@
 """Hypothesis property checks on random matrix matroids (kept small and fast;
 the seeded 200-matroid sweep lives in test_acceptance)."""
 
+from dataclasses import asdict
+
 from hypothesis import given, settings, strategies as st
 
 from ghw.betti import betti_fine_hochster, betti_fine_matroid
-from ghw.finfield import FieldMatrix, PrimeField
-from ghw.matroid import Matroid, nonredundancy_degree
+from ghw.finfield import FieldMatrix, PrimeField, matrix_rank
+from ghw.matroid import Matroid, elements, mask_of, nonredundancy_degree
 from ghw.simplicial import h_vector, independence_complex
 from ghw.weights import (
+    mds_profile,
     support_size,
     wei_duality_check,
+    weight_report,
     weights_bruteforce,
     weights_from_betti,
     whitney_polynomial,
@@ -29,6 +33,60 @@ def matrix_matroids(draw, max_n=5):
         )
     )
     return Matroid.from_matrix(FieldMatrix(PrimeField(p), entries))
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrix_matroids())
+def test_rank_table_matches_matrix_rank_oracle(M):
+    size = 1 << M.n
+    ranks = [matrix_rank(M.matrix, elements(mask)) for mask in range(size)]
+    assert M.rank_table().tolist() == ranks
+    dependent = [m for m in range(size) if ranks[m] < m.bit_count()]
+    minimal = {m for m in dependent if not any(d != m and d & ~m == 0 for d in dependent)}
+    assert set(M.circuits()) == minimal
+    top = ranks[M.full]
+    full_rank_independent = {m for m in range(size) if ranks[m] == m.bit_count() == top}
+    assert set(M.bases()) == full_rank_independent
+    dual = [m.bit_count() + ranks[M.full ^ m] - top for m in range(size)]
+    assert M.dual().rank_table().tolist() == dual
+    for sigma in range(size):
+        elems = elements(sigma)
+        restricted = [ranks[mask_of(elems[e] for e in elements(sub))] for sub in range(1 << len(elems))]
+        assert M.restrict(sigma).rank_table().tolist() == restricted
+
+
+def _assert_python_values(obj):
+    """Every leaf is a plain Python int, bool, str or None (no numpy scalars)."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            _assert_python_values(key)
+            _assert_python_values(value)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _assert_python_values(item)
+    else:
+        assert type(obj) in (int, bool, str, type(None)), (type(obj), obj)
+
+
+@settings(max_examples=20, deadline=None)
+@given(matrix_matroids())
+def test_results_carry_python_ints(M):
+    table = betti_fine_matroid(M)
+    _assert_python_values(
+        [
+            M.rank(M.full),
+            M.dual().rank(M.full),
+            M.circuits(),
+            M.bases(),
+            M.loops(),
+            M.isthmuses(),
+            table.fine,
+            table.to_json_dict(),
+            weight_report(M, table).to_json_dict(),
+            asdict(mds_profile(M, table)),
+            whitney_polynomial(M),
+        ]
+    )
 
 
 @settings(max_examples=40, deadline=None)
