@@ -1,28 +1,37 @@
-"""Exact arithmetic over prime fields GF(p) and ranks of column submatrices.
+"""Exact arithmetic over prime fields GF(p) and the one GF(p) elimination kernel.
 
-Only prime moduli are supported; arithmetic is plain modular integer
-arithmetic, so no lookup tables and no floating point anywhere.  Rank
-computation is Gaussian elimination with exact modular inverses.
+Only prime moduli below 2^64 are supported; arithmetic is plain modular
+integer arithmetic, so no lookup tables and no floating point anywhere.
+Every rank in ghw comes from ``column_rank``: sparse column reduction with
+exact modular inverses.  It ranks the column submatrices behind a matrix
+matroid's rank oracle (``matrix_rank``) and the boundary maps behind the
+Hochster homology oracle (``ghw.simplicial``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
+
+MAX_MODULUS = 1 << 64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin with the primes up to 37 as bases.
+
+    Exact for every p below 3.3 * 10^24, so for every modulus below MAX_MODULUS.
+    """
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    for a in _WITNESSES:
+        if pow(a, d, p) != 1 and all(pow(a, d << i, p) != p - 1 for i in range(s)):
             return False
-        d += 2
     return True
 
 
@@ -30,13 +39,16 @@ def is_prime(p: int) -> bool:
 class PrimeField:
     """The field of integers modulo a prime ``p``.
 
-    Composite (or otherwise non-prime) moduli are rejected at construction,
-    so every operation below may assume invertibility of nonzero residues.
+    Composite (or otherwise non-prime) moduli and moduli of 2^64 or more are
+    rejected at construction, so every operation below may assume
+    invertibility of nonzero residues.
     """
 
     p: int
 
     def __post_init__(self):
+        if isinstance(self.p, int) and self.p >= MAX_MODULUS:
+            raise ValueError(f"modulus {self.p} is too large; GF(p) needs p < 2^64")
         if not isinstance(self.p, int) or not is_prime(self.p):
             raise ValueError(
                 f"modulus {self.p!r} is not prime; only prime fields GF(p) are supported"
@@ -61,9 +73,13 @@ def as_field(field) -> PrimeField:
 
 
 class FieldMatrix:
-    """An exact matrix over GF(p), stored row-major with reduced entries."""
+    """An exact matrix over GF(p), stored row-major with reduced entries.
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    ``columns`` holds the same matrix as sparse columns (row -> nonzero
+    residue), built once here for ``column_rank``.
+    """
+
+    __slots__ = ("field", "rows", "cols", "entries", "columns")
 
     def __init__(self, field: PrimeField, rows: Iterable[Sequence[int]], cols: int | None = None):
         field = as_field(field)
@@ -80,10 +96,14 @@ class FieldMatrix:
             if cols is None:
                 raise ValueError("a matrix with no rows needs an explicit column count")
             width = cols
+        columns = tuple(
+            {r: row[c] for r, row in enumerate(row_tuples) if row[c]} for c in range(width)
+        )
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", len(row_tuples))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "entries", tuple(row_tuples))
+        object.__setattr__(self, "columns", columns)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldMatrix is immutable")
@@ -104,6 +124,36 @@ class FieldMatrix:
         return f"FieldMatrix(GF({self.field.p}), {self.rows}x{self.cols})"
 
 
+def column_rank(columns: Iterable[Mapping[int, int]], p: int) -> int:
+    """Rank over GF(p) of sparse columns, each a mapping row -> nonzero residue.
+
+    A column's pivot is its largest row.  Each column is cleared against the
+    stored column with its pivot until it gets a free pivot or vanishes; the
+    number of stored columns is the rank.  The input columns are not changed.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for col in columns:
+        col = dict(col)
+        while col:
+            low = max(col)
+            other = pivots.get(low)
+            if other is None:
+                scale = pow(col[low], p - 2, p)
+                if scale != 1:
+                    for r in col:
+                        col[r] = col[r] * scale % p
+                pivots[low] = col
+                break
+            f = col[low]
+            for r, v in other.items():
+                x = (col.get(r, 0) - f * v) % p
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
+    return len(pivots)
+
+
 def matrix_rank(m: FieldMatrix, cols: Iterable[int] | None = None) -> int:
     """Rank over GF(p) of the submatrix formed by the given columns.
 
@@ -117,29 +167,4 @@ def matrix_rank(m: FieldMatrix, cols: Iterable[int] | None = None) -> int:
         for c in sel:
             if c < 0 or c >= m.cols:
                 raise ValueError(f"column index {c} out of range for a {m.rows}x{m.cols} matrix")
-    if not sel or m.rows == 0:
-        return 0
-    p = m.field.p
-    work = [[row[c] for c in sel] for row in m.entries]
-    nrows, ncols = m.rows, len(sel)
-    rank = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if work[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = pow(work[rank][c], p - 2, p)
-        prow = work[rank] = [(v * inv) % p for v in work[rank]]
-        for i in range(rank + 1, nrows):
-            f = work[i][c]
-            if f:
-                ri = work[i]
-                work[i] = [(a - f * b) % p for a, b in zip(ri, prow)]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    return column_rank((m.columns[c] for c in sel), m.field.p)

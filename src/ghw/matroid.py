@@ -31,8 +31,19 @@ class CapExceeded(ValueError):
 
 def sweep_cost(n: int) -> str:
     """The work and memory of one subset sweep over n elements, for messages."""
+    if n > 64:
+        return f"2^{n} subsets, with a rank table of 2^{n} bytes"
     shift, unit = next((s, u) for s, u in ((20, "MiB"), (10, "KiB"), (0, "bytes")) if n >= s)
     return f"2^{n} = {1 << n} subsets, with a {1 << (n - shift)} {unit} rank table"
+
+
+def check_cap(n: int, max_n: int, sweeps: str = "subset sweeps") -> None:
+    """Refuse a ground set above the cap before anything sized by it is built."""
+    if n > max_n:
+        raise CapExceeded(
+            f"ground set size {n} exceeds the cap {max_n}; {sweeps} cover {sweep_cost(n)};"
+            f" raise max_n explicitly to proceed"
+        )
 
 
 def mask_of(elems: Iterable[int]) -> int:
@@ -109,11 +120,7 @@ class Matroid:
     ):
         if n < 0:
             raise ValueError("ground set size must be >= 0")
-        if n > max_n:
-            raise CapExceeded(
-                f"ground set size {n} exceeds the cap {max_n}; subset sweeps cover {sweep_cost(n)};"
-                f" raise max_n explicitly to proceed"
-            )
+        check_cap(n, max_n)
         self.n = n
         self.provenance = provenance
         self.max_n = max_n
@@ -140,6 +147,7 @@ class Matroid:
         cls, n: int, bases: Iterable[Iterable[int]], max_n: int = DEFAULT_MAX_GROUND
     ) -> "Matroid":
         """Matroid with the given bases; the exchange axiom is validated."""
+        check_cap(n, max_n)
         base_masks = sorted({mask_of(b) for b in bases})
         if not base_masks:
             raise ValueError("a matroid needs at least one basis")
@@ -172,6 +180,7 @@ class Matroid:
         cls, n: int, circuits: Iterable[Iterable[int]], max_n: int = DEFAULT_MAX_GROUND
     ) -> "Matroid":
         """Matroid with the given circuit collection; circuit axioms are validated."""
+        check_cap(n, max_n)
         circ_masks = sorted({mask_of(c) for c in circuits}, key=lambda m: (m.bit_count(), m))
         for c in circ_masks:
             if c == 0:

@@ -5,8 +5,9 @@ A complex on ground set {0..n-1} is stored as its antichain of facets
 with no faces at all (the void complex) has no facets.
 
 Reduced homology uses the chain complex with the incidence sign
-(-1)^(r-1) for the r-th smallest element of a face; dimensions are
-computed from exact boundary-matrix ranks over GF(p) and are reported as a
+(-1)^(r-1) for the r-th smallest element of a face.  Boundary maps are
+built as sparse columns and ranked by ``finfield.column_rank``, the same
+GF(p) elimination kernel behind matrix ranks; dimensions are reported as a
 sparse mapping degree -> dimension (degree -1 is the empty-face slot).
 """
 
@@ -15,10 +16,8 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable
 
-import numpy as np
-
-from .finfield import PrimeField, as_field
-from .matroid import DEFAULT_MAX_GROUND, CapExceeded, elements, submasks
+from .finfield import PrimeField, as_field, column_rank
+from .matroid import DEFAULT_MAX_GROUND, check_cap, elements, submasks
 
 
 def _maximalize(masks: Iterable[int]) -> tuple[int, ...]:
@@ -36,11 +35,7 @@ class SimplicialComplex:
     def __init__(self, n: int, facets: Iterable[int], max_n: int = DEFAULT_MAX_GROUND):
         if n < 0:
             raise ValueError("ground set size must be >= 0")
-        if n > max_n:
-            raise CapExceeded(
-                f"ground set size {n} exceeds the cap {max_n}; face sweeps are O(2^n),"
-                f" raise max_n explicitly to proceed"
-            )
+        check_cap(n, max_n, "face sweeps")
         facets = tuple(facets)
         for f in facets:
             if f < 0 or f >> n:
@@ -161,7 +156,7 @@ class SimplicialComplex:
 
 def independence_complex(M) -> SimplicialComplex:
     """The complex of independent sets of a matroid; facets are the bases."""
-    return SimplicialComplex(M.n, M.bases())
+    return SimplicialComplex(M.n, M.bases(), max_n=M.max_n)
 
 
 def faces_by_cardinality(cx: SimplicialComplex, within: int) -> list[list[int]]:
@@ -184,50 +179,26 @@ def faces_by_cardinality(cx: SimplicialComplex, within: int) -> list[list[int]]:
     return buckets
 
 
-def _rank_mod_p(A: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over GF(p) by exact row elimination."""
-    if A.size == 0:
-        return 0
-    A = np.array(A, dtype=np.int64) % p
-    nrows, ncols = A.shape
-    rank = 0
-    for c in range(ncols):
-        nz = np.nonzero(A[rank:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            A[[rank, piv]] = A[[piv, rank]]
-        inv = pow(int(A[rank, c]), p - 2, p)
-        A[rank] = (A[rank] * inv) % p
-        below = np.nonzero(A[rank + 1 :, c])[0]
-        if below.size:
-            rows = below + rank + 1
-            A[rows] = (A[rows] - np.outer(A[rows, c], A[rank])) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def boundary_matrix(lower: list[int], upper: list[int], p: int) -> np.ndarray:
+def boundary_matrix(lower: list[int], upper: list[int], p: int) -> list[dict[int, int]]:
     """Boundary map from the span of ``upper`` faces to the span of ``lower`` faces.
 
-    Column j describes the face upper[j]: removing its r-th smallest element
-    contributes (-1)^(r-1) to the row of the reduced face.
+    Returns sparse columns: column j maps the row of each face of upper[j]
+    with one element removed to its sign, (-1)^(r-1) mod p for the r-th
+    smallest element.
     """
     index = {m: i for i, m in enumerate(lower)}
-    mat = np.zeros((len(lower), len(upper)), dtype=np.int64)
-    for j, face in enumerate(upper):
-        r = 0
+    columns = []
+    for face in upper:
+        col = {}
+        sign = 1
         m = face
         while m:
             b = m & -m
             m ^= b
-            r += 1
-            sign = 1 if r % 2 == 1 else p - 1
-            mat[index[face ^ b], j] = sign
-    return mat
+            col[index[face ^ b]] = sign
+            sign = p - sign
+        columns.append(col)
+    return columns
 
 
 def homology_from_buckets(buckets: list[list[int]], p: int) -> dict[int, int]:
@@ -236,20 +207,11 @@ def homology_from_buckets(buckets: list[list[int]], p: int) -> dict[int, int]:
     Returns a sparse mapping degree -> dim with zero entries omitted; the
     void complex gives {}.
     """
-    if not buckets:
-        return {}
-    f = [len(b) for b in buckets]
-    top = len(buckets) - 1
-    # ranks[c] = rank of the boundary map card-c faces -> card-(c-1) faces
-    ranks = [0] * (top + 2)
-    for c in range(1, top + 1):
-        ranks[c] = _rank_mod_p(boundary_matrix(buckets[c - 1], buckets[c], p), p)
-    dims: dict[int, int] = {}
-    for c in range(top + 1):
-        h = f[c] - ranks[c] - ranks[c + 1]
-        if h:
-            dims[c - 1] = h
-    return dims
+    # ranks[c]: rank of the boundary map from card-c faces to card-(c-1) faces
+    pairs = zip(buckets, buckets[1:])
+    ranks = [0, *(column_rank(boundary_matrix(lo, hi, p), p) for lo, hi in pairs), 0]
+    dims = {c - 1: len(faces) - ranks[c] - ranks[c + 1] for c, faces in enumerate(buckets)}
+    return {d: h for d, h in dims.items() if h}
 
 
 def reduced_homology(cx: SimplicialComplex, field: PrimeField | int = 2) -> dict[int, int]:

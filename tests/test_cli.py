@@ -1,9 +1,11 @@
+import contextlib
 import io
 import json
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ghw.cli as cli
 from ghw.betti import betti_fine_matroid
@@ -144,6 +146,19 @@ def test_input_error_composite_field(tmp_path, capsys):
     assert "not prime" in err
 
 
+def test_large_prime_field(tmp_path, capsys):
+    big = tmp_path / "big.txt"
+    big.write_text(f"field {2**61 - 1}\n1 1 0\n0 1 1\n")
+    code, out, _ = run(capsys, "weights", str(big))
+    assert code == 0
+    assert out == "d: 3\n"  # the code is spanned by (1, -1, 1)
+    big.write_text(f"field {2**64 + 13}\n1 1 0\n0 1 1\n")
+    code, out, err = run(capsys, "weights", str(big))
+    assert code == 1
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "too large" in err
+
+
 def test_input_error_ragged_rows(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("field 2\n1 0 1\n0 1\n")
@@ -215,6 +230,11 @@ def test_cap_raised_holds_through_dual(capsys, monkeypatch):
     assert code == 0
     assert out == "d: 20 21\n"
     assert "2^21 = 2097152 subsets" in err and "2 MiB rank table" in err
+    # The report's Alexander-dual check builds a complex under the same cap.
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"uniform": [2, 21]}'))
+    code, out, _ = run(capsys, "weights", "-", "--complex", "dual", "--max-n", "21", "--json")
+    assert code == 0
+    assert json.loads(out)["weights"] == [20, 21]
 
 
 @pytest.mark.parametrize(
@@ -251,3 +271,46 @@ def test_cap_override_lowered(tmp_path, capsys):
 def test_outputs_are_deterministic(capsys):
     runs = [run(capsys, "betti", str(DATA / "h1.txt"), "--fine", "--json")[1] for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+_INTS = st.one_of(
+    st.integers(-2, 12),
+    st.integers(-(2**80), 2**80),
+    st.sampled_from([2**61 - 1, 2**64 - 59, 2**64 + 13, 561]),
+)
+_VALUES = st.recursive(
+    st.one_of(_INTS, st.booleans(), st.none(), st.text(max_size=3)),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=16,
+)
+_SETS = st.lists(st.lists(_INTS, max_size=4), max_size=4)
+_JSON_TEXTS = st.one_of(
+    st.dictionaries(
+        st.sampled_from(["field", "matrix", "bases", "circuits", "uniform", "n", "other"]),
+        _VALUES,
+        max_size=4,
+    ),
+    st.fixed_dictionaries({"uniform": st.lists(_INTS, max_size=3)}, optional={"n": _INTS}),
+    st.fixed_dictionaries({"n": _INTS, "bases": _SETS}),
+    st.fixed_dictionaries({"n": _INTS, "circuits": _SETS}),
+    st.fixed_dictionaries({"field": _INTS, "matrix": _SETS}, optional={"n": _INTS}),
+    _VALUES,
+).map(json.dumps)
+_MATRIX_TEXTS = st.builds(
+    lambda field, rows: f"field {field}\n" + "\n".join(" ".join(map(str, r)) for r in rows),
+    st.one_of(_INTS, st.text(max_size=4)),
+    st.lists(st.lists(st.one_of(_INTS, st.text(max_size=2)), max_size=5), max_size=4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(_JSON_TEXTS, _MATRIX_TEXTS, st.text(max_size=20)))
+def test_fuzzed_input_exits_cleanly(text, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fuzz-input"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["weights", str(path), "--max-n", "8"])
+    assert code in (0, 1, 3)
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -4,16 +4,36 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from ghw.finfield import FieldMatrix, PrimeField, matrix_rank
+from ghw.finfield import FieldMatrix, PrimeField, column_rank, is_prime, matrix_rank
 
 
 H1_ROWS = [[1, 0, 0, 1, 0, 1], [0, 1, 0, 1, 1, 0], [0, 0, 1, 1, 1, 0]]
 
 
-@pytest.mark.parametrize("p", [0, 1, 4, 6, 9, 15, 21, -3])
+@pytest.mark.parametrize("p", [0, 1, 4, 6, 9, 15, 21, -3, 561, 41041, 3215031751])
 def test_composite_modulus_rejected(p):
+    # 561 and 41041 are Carmichael numbers; 3215031751 is a strong
+    # pseudoprime to the bases 2, 3, 5 and 7.
     with pytest.raises(ValueError, match="not prime"):
         PrimeField(p)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(-2, 20000) if is_prime(n)] == [
+        n for n in range(-2, 20000) if trial(n)
+    ]
+
+
+def test_large_prime_moduli():
+    for p in (2**61 - 1, 2**64 - 59):
+        assert PrimeField(p).reduce(PrimeField(p).inv(3) * 3) == 1
+    assert not is_prime(2**64 - 1) and not is_prime((2**31 - 1) * (2**61 - 1))
+    assert is_prime(2**64 + 13)
+    with pytest.raises(ValueError, match="too large"):
+        PrimeField(2**64 + 13)
 
 
 def test_field_ops_examples():
@@ -110,3 +130,27 @@ def test_rank_le_gauss_oracle(p, rows, cols, data):
         span.add(v)
     rank = matrix_rank(m)
     assert p**rank == len(span)
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.data(),
+)
+def test_column_rank_matches_span_count(p, data):
+    # cross-check the kernel against brute-force column-span counting, with
+    # the rows of each column given in drawn, not sorted, order
+    columns = data.draw(
+        st.lists(
+            st.dictionaries(st.integers(0, 7), st.integers(1, p - 1), max_size=8), max_size=5
+        )
+    )
+    before = [dict(c) for c in columns]
+    span = set()
+    for coeffs in itertools.product(range(p), repeat=len(columns)):
+        v = [0] * 8
+        for c, col in zip(coeffs, columns):
+            for row, x in col.items():
+                v[row] = (v[row] + c * x) % p
+        span.add(tuple(v))
+    assert p ** column_rank(columns, p) == len(span)
+    assert columns == before
