@@ -3,9 +3,12 @@
 Only prime moduli below 2^64 are supported; arithmetic is plain modular
 integer arithmetic, so no lookup tables and no floating point anywhere.
 Every rank in ghw comes from ``column_rank``: sparse column reduction with
-exact modular inverses.  It ranks the column submatrices behind a matrix
-matroid's rank oracle (``matrix_rank``) and the boundary maps behind the
-Hochster homology oracle (``ghw.simplicial``).
+exact modular inverses.  It ranks the boundary maps behind the Hochster
+homology oracle (``ghw.simplicial``) and the column submatrices behind
+``matrix_rank``, the per-subset rank check of a matrix matroid.  Started
+from a given echelon basis, it also tells whether one more column raises
+the rank: the test a matrix matroid's rank-table search makes at each node
+(``ghw.matroid``).
 """
 
 from __future__ import annotations
@@ -124,14 +127,23 @@ class FieldMatrix:
         return f"FieldMatrix(GF({self.field.p}), {self.rows}x{self.cols})"
 
 
-def column_rank(columns: Iterable[Mapping[int, int]], p: int) -> int:
+def column_rank(
+    columns: Iterable[Mapping[int, int]], p: int, pivots: dict[int, dict[int, int]] | None = None
+) -> int:
     """Rank over GF(p) of sparse columns, each a mapping row -> nonzero residue.
 
     A column's pivot is its largest row.  Each column is cleared against the
     stored column with its pivot until it gets a free pivot or vanishes; the
     number of stored columns is the rank.  The input columns are not changed.
+
+    ``pivots``, if given, is an echelon basis to start from: pivot row ->
+    stored column scaled to 1 at that row, its largest row.  The columns are
+    reduced against it, it is extended in place, and the number of pivots
+    added is returned, so the result is the rank the columns add to it.
     """
-    pivots: dict[int, dict[int, int]] = {}
+    if pivots is None:
+        pivots = {}
+    start = len(pivots)
     for col in columns:
         col = dict(col)
         while col:
@@ -151,7 +163,7 @@ def column_rank(columns: Iterable[Mapping[int, int]], p: int) -> int:
                     col[r] = x
                 else:
                     del col[r]
-    return len(pivots)
+    return len(pivots) - start
 
 
 def matrix_rank(m: FieldMatrix, cols: Iterable[int] | None = None) -> int:

@@ -2,10 +2,13 @@
 
 Subsets of the ground set {0, ..., n-1} are bitmasks throughout; element i
 corresponds to bit ``1 << i``.  A matroid's one source of truth is its dense
-rank table, one int8 per subset, indexed by bitmask.  Circuits, bases, loops,
-isthmuses, duals and restrictions are all read off that table.  It costs
-2^n bytes and an O(n 2^n) sweep, so ground sets are capped (default 20)
-instead of silently hanging.
+rank table, one int8 per subset, indexed by bitmask, built by a depth-first
+search over the independent sets.  For a matrix matroid each search node
+carries the echelon basis of its set's columns, so testing one more element
+reduces that one column (``finfield.column_rank``); other matroids ask their
+rank oracle.  Circuits, bases, loops, isthmuses, duals and restrictions are
+all read off that table.  It costs 2^n bytes and an O(n 2^n) sweep, so
+ground sets are capped (default 20) instead of silently hanging.
 
 Beyond the usual matroid calculus this module implements the non-redundant
 circuit machinery: a family of circuits is non-redundant when each member
@@ -20,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .finfield import FieldMatrix, matrix_rank
+from .finfield import FieldMatrix, column_rank, matrix_rank
 
 DEFAULT_MAX_GROUND = 20
 
@@ -86,6 +89,13 @@ def bit_halves(values: np.ndarray):
         step *= 2
 
 
+def subset_max(values: np.ndarray) -> np.ndarray:
+    """Per mask, the largest value at any of its submasks (in place)."""
+    for with_bit, without in bit_halves(values):
+        np.maximum(with_bit, without, out=with_bit)
+    return values
+
+
 def popcounts(n: int) -> np.ndarray:
     """|mask| for every mask below 2^n, as int8."""
     pop = np.zeros(1 << n, dtype=np.int8)
@@ -106,9 +116,10 @@ def each_element(values: np.ndarray, holds) -> np.ndarray:
 class Matroid:
     """A matroid given by a rank oracle on bitmask subsets of {0..n-1}.
 
-    The oracle is asked only while ``rank_table`` builds the dense table on
-    first use; every query after that reads the table.  Instances are
-    immutable after construction, and the table is read-only.
+    The dense rank table is built on first use, and every query reads it.
+    Only that build asks the oracle, and a matrix matroid's build extends
+    echelon bases instead.  Instances are immutable after construction, and
+    the table is read-only.
     """
 
     def __init__(
@@ -125,6 +136,10 @@ class Matroid:
         self.provenance = provenance
         self.max_n = max_n
         self._rank_fn = rank_fn
+        # Node test of the rank-table search, as (root state, extend), where
+        # extend(state of I, cand = I + x, x) gives the state of cand, or None
+        # when cand is dependent.  None asks rank_fn instead.
+        self._node_test: tuple | None = None
         self._table: np.ndarray | None = None
         self._circuits: tuple[int, ...] | None = None
         self._bases: tuple[int, ...] | None = None
@@ -135,11 +150,19 @@ class Matroid:
     def from_matrix(cls, H: FieldMatrix, max_n: int = DEFAULT_MAX_GROUND) -> "Matroid":
         """Column matroid of a matrix over GF(p): rank(sigma) = rank of those columns."""
 
+        columns, p = H.columns, H.field.p
+
         def rank_fn(mask: int) -> int:
             return matrix_rank(H, elements(mask))
 
+        def extend(pivots, _cand, x):
+            # I + x is independent iff column x adds a pivot to I's echelon basis.
+            child = dict(pivots)
+            return child if column_rank((columns[x],), p, child) else None
+
         M = cls(H.cols, rank_fn, provenance="matrix", max_n=max_n)
         M.matrix = H
+        M._node_test = ({}, extend)
         return M
 
     @classmethod
@@ -245,27 +268,35 @@ class Matroid:
     def rank_table(self) -> np.ndarray:
         """Ranks of all 2^n subsets as a read-only int8 array indexed by bitmask.
 
-        Built once: a depth-first search over the independent sets asks the
-        oracle only whether I + x is independent, for x above max(I), and so
-        reaches each independent set once from its parent I - max(I).  A
-        subset-max transform then gives every subset S its rank, the
-        largest |I| over independent I inside S.
+        Built once: a depth-first search over the independent sets tests
+        only whether I + x is independent, for x above max(I), and so
+        reaches each independent set once from its parent I - max(I).  Each
+        node carries a state for that test.  A matrix matroid's state is the
+        echelon basis of I's columns, and the test reduces column x against
+        it; any other matroid's state is empty, and the test asks the oracle
+        whether rank(I + x) = |I| + 1.  A subset-max transform then gives
+        every subset S its rank, the largest |I| over independent I inside S.
         """
         if self._table is None:
             n, rank_fn = self.n, self._rank_fn
+
+            def ask_oracle(_state, cand, _x):
+                return () if rank_fn(cand) == cand.bit_count() else None
+
+            root, extend = self._node_test or ((), ask_oracle)
             found = bytearray(1 << n)  # |I| at each independent I, 0 elsewhere
-            stack = [(0, 0)]  # (independent set, smallest element that may extend it)
+            # (independent set, smallest element that may extend it, its state)
+            stack = [(0, 0, root)]
             while stack:
-                indep, start = stack.pop()
+                indep, start, state = stack.pop()
                 size = found[indep] + 1
                 for x in range(start, n):
                     cand = indep | 1 << x
-                    if rank_fn(cand) == size:
+                    child = extend(state, cand, x)
+                    if child is not None:
                         found[cand] = size
-                        stack.append((cand, x + 1))
-            table = np.frombuffer(found, dtype=np.int8)
-            for with_bit, without in bit_halves(table):
-                np.maximum(with_bit, without, out=with_bit)
+                        stack.append((cand, x + 1, child))
+            table = subset_max(np.frombuffer(found, dtype=np.int8))
             table.setflags(write=False)
             self._table = table
         return self._table

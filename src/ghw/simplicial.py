@@ -16,8 +16,18 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable
 
+import numpy as np
+
 from .finfield import PrimeField, as_field, column_rank
-from .matroid import DEFAULT_MAX_GROUND, check_cap, elements, submasks
+from .matroid import (
+    DEFAULT_MAX_GROUND,
+    bit_halves,
+    check_cap,
+    elements,
+    popcounts,
+    submasks,
+    subset_max,
+)
 
 
 def _maximalize(masks: Iterable[int]) -> tuple[int, ...]:
@@ -129,29 +139,27 @@ class SimplicialComplex:
         )
 
     def is_matroid_complex(self) -> bool:
-        """Do the faces satisfy the independent-set exchange axiom?
+        """Is every induced subcomplex pure (the matroid complex criterion)?
 
-        Checking adjacent cardinalities suffices: faces are closed under
-        subsets, so exchange for |B| = |A|+1 implies the general case.
+        A face F is maximal in the subcomplex induced on S exactly when S
+        avoids ext(F), the elements x outside F with F + x a face.  So all
+        such subcomplexes are pure iff every face F has the largest face
+        size r(S) over S = E - ext(F) equal to |F|.  r comes from one
+        subset-max sweep and ext from one sweep per element.
         """
         if self.is_void:
             return False
-        buckets = faces_by_cardinality(self, (1 << self.n) - 1)
-        table = self.face_table()
-        for c in range(len(buckets) - 1):
-            for A in buckets[c]:
-                for B in buckets[c + 1]:
-                    ok = False
-                    m = B & ~A
-                    while m:
-                        b = m & -m
-                        m ^= b
-                        if table[A | b]:
-                            ok = True
-                            break
-                    if not ok:
-                        return False
-        return True
+        n = self.n
+        face = np.frombuffer(self.face_table(), dtype=bool)
+        size = popcounts(n)
+        r = subset_max(size * face)
+        ext = np.zeros(1 << n, dtype=np.int64)
+        for j, ((face_with, _), (_, ext_without)) in enumerate(
+            zip(bit_halves(face), bit_halves(ext))
+        ):
+            ext_without[face_with] |= 1 << j
+        faces = np.flatnonzero(face)
+        return bool((r[((1 << n) - 1) & ~ext[faces]] == size[faces]).all())
 
 
 def independence_complex(M) -> SimplicialComplex:

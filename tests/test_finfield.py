@@ -154,3 +154,25 @@ def test_column_rank_matches_span_count(p, data):
         span.add(tuple(v))
     assert p ** column_rank(columns, p) == len(span)
     assert columns == before
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7, (1 << 61) - 1]),
+    st.data(),
+)
+def test_column_rank_extends_given_pivots(p, data):
+    # ranking columns in two batches through one echelon basis gives the rank
+    # of all of them together, and each batch adds what it raises the rank by
+    column = st.dictionaries(st.integers(0, 7), st.integers(1, p - 1), max_size=8)
+    first = data.draw(st.lists(column, max_size=5))
+    second = data.draw(st.lists(column, max_size=5))
+    before = [dict(c) for c in first + second]
+    pivots = {}
+    added_first = column_rank(first, p, pivots)
+    assert added_first == column_rank(first, p) == len(pivots)
+    assert all(max(col) == row and col[row] == 1 for row, col in pivots.items())
+    basis = dict(pivots)
+    added_second = column_rank(second, p, pivots)
+    assert added_first + added_second == column_rank(first + second, p) == len(pivots)
+    assert column_rank(second, p, basis) == added_second
+    assert first + second == before

@@ -55,6 +55,36 @@ def test_rank_table_matches_matrix_rank_oracle(M):
         assert M.restrict(sigma).rank_table().tolist() == restricted
 
 
+@st.composite
+def awkward_matrices(draw):
+    """Matrices over small and large prime fields, up to 8 columns, with zero
+    columns (loops), repeated and rescaled columns (parallel elements), no
+    rows at all, or more rows than columns."""
+    p = draw(st.sampled_from([2, 3, 5, 7, (1 << 61) - 1]))
+    n = draw(st.integers(min_value=0, max_value=8))
+    m = draw(st.integers(min_value=0, max_value=n + 3))
+    entry = st.one_of(st.just(0), st.integers(1, p - 1))
+    columns = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["zero", "repeat", "fresh"] if columns else ["zero", "fresh"]))
+        if kind == "zero":
+            columns.append([0] * m)
+        elif kind == "repeat":
+            scale = draw(st.integers(1, p - 1))
+            columns.append([v * scale % p for v in draw(st.sampled_from(columns))])
+        else:
+            columns.append(draw(st.lists(entry, min_size=m, max_size=m)))
+    rows = [[col[r] for col in columns] for r in range(m)]
+    return FieldMatrix(PrimeField(p), rows, cols=n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(awkward_matrices())
+def test_echelon_search_matches_matrix_rank(H):
+    M = Matroid.from_matrix(H)
+    assert M.rank_table().tolist() == [matrix_rank(H, elements(mask)) for mask in range(1 << H.cols)]
+
+
 def _assert_python_values(obj):
     """Every leaf is a plain Python int, bool, str or None (no numpy scalars)."""
     if isinstance(obj, dict):

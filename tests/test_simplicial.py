@@ -2,6 +2,7 @@ from collections import Counter
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghw.finfield import column_rank
 from ghw.matroid import Matroid, elements, mask_of
@@ -70,6 +71,35 @@ def test_is_matroid_complex_negative():
     # two disjoint edges fail the exchange axiom
     cx = SimplicialComplex(4, [0b0011, 0b1100])
     assert not cx.is_matroid_complex()
+
+
+def _exchange_holds(cx):
+    """The independent-set exchange axiom, pair by pair: for faces A and B
+    with |B| = |A| + 1, some x in B - A makes A + x a face."""
+    faces = [m for m in range(1 << cx.n) if cx.face_table()[m]]
+    face_set = set(faces)
+    return all(
+        any(A | 1 << x in face_set for x in elements(B & ~A))
+        for A in faces
+        for B in faces
+        if B.bit_count() == A.bit_count() + 1
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 7).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6))
+))
+def test_is_matroid_complex_matches_exchange_axiom(case):
+    n, facets = case
+    cx = SimplicialComplex(n, facets)
+    assert cx.is_matroid_complex() == _exchange_holds(cx)
+
+
+def test_void_complex_is_not_matroid_complex():
+    assert not SimplicialComplex(3, []).is_matroid_complex()
+    assert not SimplicialComplex(0, []).is_matroid_complex()
+    assert SimplicialComplex(3, [0]).is_matroid_complex()
 
 
 def test_restrict(m1):
