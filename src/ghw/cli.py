@@ -184,6 +184,12 @@ def build_matroid(spec: InputSpec, max_n: int) -> Matroid:
 def _resolve(args) -> tuple[Matroid, Matroid, bool]:
     """Base matroid, the matroid the command acts on, and whether the
     requested complex is an Alexander dual."""
+    if args.max_n is not None and args.max_n < 0:
+        raise InputError(f"--max-n must be >= 0, got {args.max_n}")
+    try:
+        PrimeField(args.field)
+    except ValueError as exc:
+        raise InputError(f"--field: {exc}") from exc
     max_n = args.max_n if args.max_n is not None else DEFAULT_MAX_GROUND
     if args.max_n is not None and args.max_n > DEFAULT_MAX_GROUND:
         print(

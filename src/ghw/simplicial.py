@@ -9,6 +9,13 @@ Reduced homology uses the chain complex with the incidence sign
 built as sparse columns and ranked by ``finfield.column_rank``, the same
 GF(p) elimination kernel behind matrix ranks; dimensions are reported as a
 sparse mapping degree -> dimension (degree -1 is the empty-face slot).
+
+The maps are ranked from the largest faces down, with clearing (the
+"twist" of persistent-homology codes): a face whose row is a pivot of the
+map one dimension up gets no column in its own map.  The pivot column
+there is a boundary, hence a cycle, whose largest face is that face, so
+the face's boundary is a combination of the boundaries of smaller faces
+and cannot add to the rank.
 """
 
 from __future__ import annotations
@@ -212,12 +219,26 @@ def boundary_matrix(lower: list[int], upper: list[int], p: int) -> list[dict[int
 def homology_from_buckets(buckets: list[list[int]], p: int) -> dict[int, int]:
     """Reduced homology dimensions of a complex given by face buckets.
 
+    The boundary maps are ranked from the largest faces down, with clearing:
+    the pivot rows left by the map on card-(c+1) faces index card-c faces,
+    and those faces are left out of the map on card-c faces.  A stored pivot
+    column is a boundary, hence a cycle, with its largest face sigma (in
+    bitmask order, the order of the rows) at coefficient 1.  So the boundary
+    of sigma is a combination of the boundaries of faces below sigma, and by
+    induction on sigma it lies in the span of the columns kept: leaving it
+    out does not change the rank.
+
     Returns a sparse mapping degree -> dim with zero entries omitted; the
     void complex gives {}.
     """
     # ranks[c]: rank of the boundary map from card-c faces to card-(c-1) faces
-    pairs = zip(buckets, buckets[1:])
-    ranks = [0, *(column_rank(boundary_matrix(lo, hi, p), p) for lo, hi in pairs), 0]
+    ranks = [0] * (len(buckets) + 1)
+    pivots: dict[int, dict[int, int]] = {}
+    for c in range(len(buckets) - 1, 0, -1):
+        # pivots still holds the echelon basis of the map on card-(c+1) faces
+        upper = [face for i, face in enumerate(buckets[c]) if i not in pivots]
+        pivots = {}
+        ranks[c] = column_rank(boundary_matrix(buckets[c - 1], upper, p), p, pivots)
     dims = {c - 1: len(faces) - ranks[c] - ranks[c + 1] for c, faces in enumerate(buckets)}
     return {d: h for d, h in dims.items() if h}
 

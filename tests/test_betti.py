@@ -20,6 +20,8 @@ from workeddata import (
     GRADED_M1,
     GRADED_M6,
     GRADED_M7,
+    RP2_FACETS,
+    TORUS_FACETS,
     diagram_rows,
     pm,
     pset,
@@ -65,6 +67,29 @@ def test_hochster_alexander_duals(m1, m2, m3, m8, m9):
     for M, graded in expectations:
         dual_cx = independence_complex(M).alexander_dual()
         assert betti_fine_hochster(dual_cx, 2).graded() == graded
+
+
+@pytest.mark.parametrize(
+    "p, expected", [(2, (1, 10, 15, 7, 1)), (3, (1, 10, 15, 6)), (5, (1, 10, 15, 6))]
+)
+def test_hochster_projective_plane_depends_on_field(p, expected):
+    # Reisner's example: the resolution of the projective plane's ideal
+    # changes with the characteristic, which is why verify uses three fields.
+    rp2 = SimplicialComplex(6, pset(RP2_FACETS))
+    table = betti_fine_hochster(rp2, p)
+    assert table.global_betti() == expected
+    # over GF(2), H_1 and H_2 of the whole plane sit at sigma = {1..6}
+    top = {i: v for (i, mask), v in table.fine.items() if mask == (1 << 6) - 1}
+    assert top == ({3: 1, 4: 1} if p == 2 else {})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_hochster_torus(p):
+    torus = SimplicialComplex(7, pset(TORUS_FACETS))
+    table = betti_fine_hochster(torus, p)
+    assert table.global_betti() == (1, 21, 49, 42, 15, 2)
+    # H_1 (dim 2) and H_2 (dim 1) of the whole torus sit at sigma = {1..7}
+    assert {i: v for (i, mask), v in table.fine.items() if mask == (1 << 7) - 1} == {4: 1, 5: 2}
 
 
 def test_hochster_single_variable_ideal():

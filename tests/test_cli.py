@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -258,6 +259,21 @@ def test_malformed_input_one_line_error(text, message, capsys, monkeypatch):
     assert message in err
 
 
+def test_negative_max_n_is_an_input_error(capsys):
+    code, out, err = run(capsys, "weights", str(DATA / "h1.txt"), "--max-n", "-1")
+    assert code == 1
+    assert out == "" and err == "error: --max-n must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("command", ["weights", "betti", "diagram", "whitney", "mds", "verify"])
+def test_non_prime_field_flag_refused_on_every_command(command, capsys):
+    for field in ("4", "1"):
+        code, out, err = run(capsys, command, str(DATA / "h1.txt"), "--field", field)
+        assert code == 1
+        assert out == "" and err.startswith("error: --field") and err.count("\n") == 1
+        assert "not prime" in err
+
+
 def test_cap_override_lowered(tmp_path, capsys):
     mid = tmp_path / "mid.json"
     mid.write_text('{"uniform": [2, 12]}')
@@ -314,3 +330,10 @@ def test_fuzzed_input_exits_cleanly(text, tmp_path_factory):
     assert code in (0, 1, 3)
     if code:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def test_corpus_report_golden():
+    # The worked examples in data/, recomputed end to end by the script.
+    script = Path(__file__).resolve().parent.parent / "scripts" / "corpus_report.py"
+    result = subprocess.run([sys.executable, str(script)], capture_output=True, check=True)
+    assert result.stdout == (GOLDEN / "corpus_report.txt").read_bytes()

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ghw import simplicial
 from ghw.finfield import column_rank
 from ghw.matroid import Matroid, elements, mask_of
 from ghw.simplicial import (
@@ -11,12 +12,16 @@ from ghw.simplicial import (
     boundary_matrix,
     faces_by_cardinality,
     h_vector,
+    homology_from_buckets,
     independence_complex,
     reduced_euler_char,
     reduced_homology,
 )
 
-from workeddata import ALEXANDER_FACETS_M1, BASES_M1, pm, pset
+from workeddata import ALEXANDER_FACETS_M1, BASES_M1, RP2_FACETS, TORUS_FACETS, pm, pset
+
+RP2 = SimplicialComplex(6, pset(RP2_FACETS))
+TORUS = SimplicialComplex(7, pset(TORUS_FACETS))
 
 
 def test_facets_are_maximalized():
@@ -161,6 +166,78 @@ def test_full_simplex_boundary_ranks(p):
         for c in range(1, m + 1):
             rank = column_rank(boundary_matrix(buckets[c - 1], buckets[c], p), p)
             assert rank == comb(m - 1, c - 1)
+
+
+@pytest.mark.parametrize("p, expected", [(2, {1: 1, 2: 1}), (3, {}), (5, {})])
+def test_projective_plane_homology_depends_on_field(p, expected):
+    # H_1 = Z/2 and H_2 = 0 over Z: over GF(2) the torsion shows in degrees 1 and 2
+    assert RP2.f_vector() == (1, 6, 15, 10)
+    assert reduced_homology(RP2, p) == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_torus_homology(p):
+    assert TORUS.f_vector() == (1, 7, 21, 14)
+    assert reduced_homology(TORUS, p) == {1: 2, 2: 1}
+
+
+def _full_ranks(buckets, p):
+    """Reference: [0, rank of the map on card-1 faces, ..., on the top faces, 0],
+    each map built in full and ranked on its own."""
+    pairs = zip(buckets, buckets[1:])
+    return [0, *(column_rank(boundary_matrix(lo, hi, p), p) for lo, hi in pairs), 0]
+
+
+def _homology_without_clearing(buckets, p):
+    ranks = _full_ranks(buckets, p)
+    dims = {c - 1: len(faces) - ranks[c] - ranks[c + 1] for c, faces in enumerate(buckets)}
+    return {d: h for d, h in dims.items() if h}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(0, (1 << n) - 1), max_size=8),
+            st.integers(0, (1 << n) - 1),
+        )
+    ),
+    st.sampled_from([2, 3, 5]),
+)
+def test_clearing_matches_full_ranks(case, p):
+    n, facets, within = case
+    cx = SimplicialComplex(n, facets)
+    for sigma in ((1 << n) - 1, within):
+        buckets = faces_by_cardinality(cx, sigma)
+        dims = homology_from_buckets(buckets, p)
+        assert dims == _homology_without_clearing(buckets, p)
+        alt = sum(h if d % 2 == 0 else -h for d, h in dims.items())
+        assert alt == reduced_euler_char(cx.restrict(sigma))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_clearing_skips_paired_faces(p, m1, monkeypatch):
+    # The map on card-c faces is built only on the faces that the map on
+    # card-(c+1) faces left without a pivot, largest faces first.
+    built = []
+
+    def recording(lower, upper, p):
+        built.append(len(upper))
+        return boundary_matrix(lower, upper, p)
+
+    monkeypatch.setattr(simplicial, "boundary_matrix", recording)
+    m1_cx = independence_complex(m1)
+    for cx in (RP2, TORUS, m1_cx, m1_cx.alexander_dual()):
+        buckets = faces_by_cardinality(cx, (1 << cx.n) - 1)
+        ranks = _full_ranks(buckets, p)
+        built.clear()
+        homology_from_buckets(buckets, p)
+        assert built == [len(buckets[c]) - ranks[c + 1] for c in range(len(buckets) - 1, 0, -1)]
+    # The full simplex is acyclic: every column kept becomes a pivot.
+    built.clear()
+    reduced_homology(SimplicialComplex(6, [(1 << 6) - 1]), p)
+    assert built == [comb(5, c - 1) for c in range(6, 0, -1)]
 
 
 def test_homology_field_independence(m1, m5, m7):

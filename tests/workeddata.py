@@ -57,6 +57,18 @@ DUAL_GRADED_M8_M9 = {(0, 0): 1, (1, 3): 16, (2, 4): 33, (3, 5): 24, (4, 6): 6}
 DUAL_GRADED_M2 = {(0, 0): 1, (1, 2): 5, (2, 3): 6, (3, 4): 2}
 DUAL_GRADED_M3 = {(0, 0): 1, (1, 2): 4, (2, 3): 4, (3, 4): 1}
 
+# Two triangulations whose homology sits in more than one degree.  The
+# 6-vertex real projective plane has 2-torsion, so its homology depends on the
+# field (Reisner's example); the 7-vertex torus has the same homology over
+# every field.
+RP2_FACETS = [
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+    (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4),
+]
+TORUS_FACETS = [
+    tuple(sorted((i + s) % 7 + 1 for s in shape)) for shape in ((0, 1, 3), (0, 2, 3)) for i in range(7)
+]
+
 WHITNEY_M1 = {
     (3, 0): 1, (2, 1): 1, (2, 0): 6, (1, 2): 1, (1, 1): 7, (1, 0): 14,
     (0, 3): 1, (0, 2): 6, (0, 1): 14, (0, 0): 13,
