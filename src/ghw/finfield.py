@@ -5,10 +5,12 @@ integer arithmetic, so no lookup tables and no floating point anywhere.
 Every rank in ghw comes from ``column_rank``: sparse column reduction with
 exact modular inverses.  It ranks the boundary maps behind the Hochster
 homology oracle (``ghw.simplicial``) and the column submatrices behind
-``matrix_rank``, the per-subset rank check of a matrix matroid.  Started
-from a given echelon basis, it also tells whether one more column raises
-the rank: the test a matrix matroid's rank-table search makes at each node
-(``ghw.matroid``).
+``matrix_rank``, the per-subset rank check of a matrix matroid.  Given a
+matrix's rows as sparse vectors keyed by column, it returns an echelon
+basis of the row space, whose words a matrix matroid's rank table counts
+(``ghw.matroid``).  Started from a given echelon basis, it also tells
+whether one more column raises the rank: the test the rank-table search
+makes at each node when the row space has too many words to count.
 """
 
 from __future__ import annotations

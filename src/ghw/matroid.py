@@ -2,13 +2,18 @@
 
 Subsets of the ground set {0, ..., n-1} are bitmasks throughout; element i
 corresponds to bit ``1 << i``.  A matroid's one source of truth is its dense
-rank table, one int8 per subset, indexed by bitmask, built by a depth-first
-search over the independent sets.  For a matrix matroid each search node
-carries the echelon basis of its set's columns, so testing one more element
-reduces that one column (``finfield.column_rank``); other matroids ask their
-rank oracle.  Circuits, bases, loops, isthmuses, duals and restrictions are
-all read off that table.  It costs 2^n bytes and an O(n 2^n) sweep, so
-ground sets are capped (default 20) instead of silently hanging.
+rank table, one int8 per subset, indexed by bitmask.  A matrix matroid
+whose row space has at most WORD_TABLE_MAX words builds it from those
+words: the words vanishing on a subset S number p^(k - r(S)), so one
+histogram of zero sets, one superset-sum and a count of powers of p give
+every rank at once (``_word_table``).  Any other matroid, and a matrix
+matroid above that bound, builds it by a depth-first search over the
+independent sets (``_search``).  There a matrix matroid's node carries the
+echelon basis of its set's columns, so testing one more element reduces
+that one column (``finfield.column_rank``); other matroids ask their rank
+oracle.  Circuits, bases, loops, isthmuses, duals and restrictions are all
+read off that table.  It costs 2^n bytes and O(n 2^n) sweeps, so ground
+sets are capped (default 20) instead of silently hanging.
 
 Beyond the usual matroid calculus this module implements the non-redundant
 circuit machinery: a family of circuits is non-redundant when each member
@@ -19,6 +24,7 @@ family of exactly that size.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -113,13 +119,140 @@ def each_element(values: np.ndarray, holds) -> np.ndarray:
     return out
 
 
+# A matrix matroid whose row space has at most this many words (p^k, with
+# k = rank H) gets its rank table from the zero sets of those words; above
+# it, from the echelon-extending search, whose cost follows the number of
+# independent sets instead.  2^22 covers GF(2) with k = 22, GF(3) with
+# k = 12 and GF(5) with k = 8, and keeps the int32 counts below 2^31.
+WORD_TABLE_MAX = 1 << 22
+# Head words compared per tail: bounds the word builder's working arrays
+# (int64 while built, so 1 MB at n = 16).
+_HEAD_WORDS = 1 << 12
+
+
+def _search(n: int, root, extend) -> np.ndarray:
+    """Rank table from a depth-first search over the independent sets.
+
+    The search tests only whether I + x is independent, for x above max(I),
+    and so reaches each independent set once from its parent I - max(I).
+    Each node carries a state for that test: extend(state of I, I + x, x)
+    gives the state of I + x, or None when I + x is dependent.  A
+    subset-max transform then gives every subset S its rank, the largest |I|
+    over independent I inside S.
+    """
+    found = bytearray(1 << n)  # |I| at each independent I, 0 elsewhere
+    # (independent set, smallest element that may extend it, its state)
+    stack = [(0, 0, root)]
+    while stack:
+        indep, start, state = stack.pop()
+        size = found[indep] + 1
+        for x in range(start, n):
+            cand = indep | 1 << x
+            child = extend(state, cand, x)
+            if child is not None:
+                found[cand] = size
+                stack.append((cand, x + 1, child))
+    return subset_max(np.frombuffer(found, dtype=np.int8))
+
+
+def _echelon_search_table(H: FieldMatrix) -> np.ndarray:
+    """Rank table of H's column matroid by ``_search``, each node carrying
+    the echelon basis of its set's columns: I + x is independent iff column
+    x adds a pivot to that basis."""
+    columns, p = H.columns, H.field.p
+
+    def extend(pivots, _cand, x):
+        child = dict(pivots)
+        return child if column_rank((columns[x],), p, child) else None
+
+    return _search(H.cols, {}, extend)
+
+
+def _span(rows: np.ndarray, p: int) -> np.ndarray:
+    """All p^len(rows) combinations of ``rows`` over GF(p), one per row."""
+    n = rows.shape[1]
+    words = np.zeros((1, n), dtype=np.int64)
+    for row in rows:
+        words = np.arange(p)[:, None, None] * row + words
+        words %= p
+        words = words.reshape(words.shape[0] * words.shape[1], n)
+    return words
+
+
+def _points(rows: np.ndarray, p: int) -> np.ndarray:
+    """One combination of ``rows`` per point of the projective space over
+    them: those whose first nonzero coefficient is 1."""
+    return np.concatenate(
+        [np.zeros((0, rows.shape[1]), dtype=np.int64)]
+        + [(row + _span(rows[i + 1 :], p)) % p for i, row in enumerate(rows)]
+    )
+
+
+def _word_table(H: FieldMatrix) -> np.ndarray | None:
+    """Rank table of H's column matroid from the words of its row space, or
+    None when that space has more than WORD_TABLE_MAX words.
+
+    With k = rank H, the words y.H (y in GF(p)^k, over an echelon basis of
+    H's rows) that vanish on a subset S form the left kernel of the columns
+    in S, of p^(k - r(S)) words.  A word's zero set is that of every nonzero
+    multiple, so one word per projective point y is enumerated, and S is
+    hit by (p^(k - r(S)) - 1) / (p - 1) of them.  Zero sets are binned by
+    mask and superset-summed, and r(S) is k minus the number of j >= 1 with
+    at least (p^j - 1) / (p - 1) hits.
+
+    The points are enumerated as heads times tails: y splits into a tail on
+    the first rows and a head on the last h, with p^h <= _HEAD_WORDS.  A
+    point has a normalized nonzero tail and any head, or a zero tail and a
+    normalized head.  The word tail + head vanishes where head == -tail; as
+    the heads run over a whole span, comparing with +tail counts the same.
+    """
+    p, n = H.field.p, H.cols
+    pivots: dict[int, dict[int, int]] = {}
+    column_rank(({c: v for c, v in enumerate(row) if v} for row in H.entries), p, pivots)
+    k = len(pivots)
+    if p**k > WORD_TABLE_MAX:
+        return None
+    basis = np.zeros((k, n), dtype=np.int64)
+    for i, row in enumerate(pivots.values()):
+        basis[i, list(row)] = list(row.values())
+    h = k
+    while p**h > _HEAD_WORDS:
+        h -= 1
+    word = np.min_scalar_type(p - 1)
+    heads = _span(basis[k - h :], p).astype(word)
+    tails = _points(basis[: k - h], p).astype(word)
+    zero_sets = itertools.chain([_points(basis[k - h :], p) == 0], (heads == tail for tail in tails))
+    # Zero sets packed into little-endian int64 masks, binned a buffer at a
+    # time, so that a bincount of 2^n runs per 2^(n-2) points, not per tail.
+    points = (p**k - 1) // (p - 1)
+    buffer = np.zeros((min(points, max(_HEAD_WORDS, (1 << n) >> 2)), 8), dtype=np.uint8)
+    hits = np.zeros(1 << n, dtype=np.int32)
+    filled = 0
+    for chunk in zero_sets:
+        if filled + len(chunk) > len(buffer):
+            hits += np.bincount(buffer[:filled].view("<i8").ravel(), minlength=1 << n)
+            filled = 0
+        buffer[filled : filled + len(chunk), : (n + 7) // 8] = np.packbits(
+            chunk, axis=1, bitorder="little"
+        )
+        filled += len(chunk)
+    hits += np.bincount(buffer[:filled].view("<i8").ravel(), minlength=1 << n)
+    for with_bit, without in bit_halves(hits):
+        without += with_bit
+    table = np.full(1 << n, k, dtype=np.int8)
+    for j in range(1, k + 1):
+        table -= hits >= (p**j - 1) // (p - 1)
+    return table
+
+
 class Matroid:
     """A matroid given by a rank oracle on bitmask subsets of {0..n-1}.
 
     The dense rank table is built on first use, and every query reads it.
-    Only that build asks the oracle, and a matrix matroid's build extends
-    echelon bases instead.  Instances are immutable after construction, and
-    the table is read-only.
+    Only that build asks the oracle.  A matrix matroid's build never does:
+    it counts the zero sets of its row space's words, or, with more than
+    WORD_TABLE_MAX words, extends echelon bases.  Instances are immutable
+    after construction, and the table is read-only.
     """
 
     def __init__(
@@ -136,10 +269,8 @@ class Matroid:
         self.provenance = provenance
         self.max_n = max_n
         self._rank_fn = rank_fn
-        # Node test of the rank-table search, as (root state, extend), where
-        # extend(state of I, cand = I + x, x) gives the state of cand, or None
-        # when cand is dependent.  None asks rank_fn instead.
-        self._node_test: tuple | None = None
+        # Builds the rank table; None searches the independent sets with rank_fn.
+        self._build: Callable[[], np.ndarray] | None = None
         self._table: np.ndarray | None = None
         self._circuits: tuple[int, ...] | None = None
         self._bases: tuple[int, ...] | None = None
@@ -150,19 +281,16 @@ class Matroid:
     def from_matrix(cls, H: FieldMatrix, max_n: int = DEFAULT_MAX_GROUND) -> "Matroid":
         """Column matroid of a matrix over GF(p): rank(sigma) = rank of those columns."""
 
-        columns, p = H.columns, H.field.p
-
         def rank_fn(mask: int) -> int:
             return matrix_rank(H, elements(mask))
 
-        def extend(pivots, _cand, x):
-            # I + x is independent iff column x adds a pivot to I's echelon basis.
-            child = dict(pivots)
-            return child if column_rank((columns[x],), p, child) else None
+        def build() -> np.ndarray:
+            table = _word_table(H)
+            return _echelon_search_table(H) if table is None else table
 
         M = cls(H.cols, rank_fn, provenance="matrix", max_n=max_n)
         M.matrix = H
-        M._node_test = ({}, extend)
+        M._build = build
         return M
 
     @classmethod
@@ -268,35 +396,24 @@ class Matroid:
     def rank_table(self) -> np.ndarray:
         """Ranks of all 2^n subsets as a read-only int8 array indexed by bitmask.
 
-        Built once: a depth-first search over the independent sets tests
-        only whether I + x is independent, for x above max(I), and so
-        reaches each independent set once from its parent I - max(I).  Each
-        node carries a state for that test.  A matrix matroid's state is the
-        echelon basis of I's columns, and the test reduces column x against
-        it; any other matroid's state is empty, and the test asks the oracle
-        whether rank(I + x) = |I| + 1.  A subset-max transform then gives
-        every subset S its rank, the largest |I| over independent I inside S.
+        Built once, on first use.  A matrix matroid with at most
+        WORD_TABLE_MAX words in its row space counts, per subset, the words
+        vanishing there (``_word_table``).  Any other matroid, and a larger
+        matrix matroid, gets the table from a depth-first search over its
+        independent sets (``_search``): a matrix matroid's search extends
+        echelon bases (``_echelon_search_table``), any other asks its rank
+        oracle whether rank(I + x) = |I| + 1.
         """
         if self._table is None:
-            n, rank_fn = self.n, self._rank_fn
+            if self._build is None:
+                rank_fn = self._rank_fn
 
-            def ask_oracle(_state, cand, _x):
-                return () if rank_fn(cand) == cand.bit_count() else None
+                def ask_oracle(_state, cand, _x):
+                    return () if rank_fn(cand) == cand.bit_count() else None
 
-            root, extend = self._node_test or ((), ask_oracle)
-            found = bytearray(1 << n)  # |I| at each independent I, 0 elsewhere
-            # (independent set, smallest element that may extend it, its state)
-            stack = [(0, 0, root)]
-            while stack:
-                indep, start, state = stack.pop()
-                size = found[indep] + 1
-                for x in range(start, n):
-                    cand = indep | 1 << x
-                    child = extend(state, cand, x)
-                    if child is not None:
-                        found[cand] = size
-                        stack.append((cand, x + 1, child))
-            table = subset_max(np.frombuffer(found, dtype=np.int8))
+                table = _search(self.n, (), ask_oracle)
+            else:
+                table = self._build()
             table.setflags(write=False)
             self._table = table
         return self._table

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .betti import BettiTable
-from .matroid import Matroid, elements
+from .matroid import Matroid, elements, popcounts
 from .simplicial import independence_complex
 
 
@@ -31,16 +33,18 @@ def weights_from_betti(table: BettiTable, k: int) -> tuple[int, ...]:
 
 
 def weights_bruteforce(M: Matroid) -> tuple[int, ...]:
-    """Direct minimization of |sigma| over nullity classes; the oracle path."""
-    k = M.n - M.rank(M.full)
-    best = [None] * (k + 1)
-    rank_of = M.rank_table().tolist()
-    for mask in range(1 << M.n):
-        size = mask.bit_count()
-        i = size - rank_of[mask]
-        if 1 <= i <= k and (best[i] is None or size < best[i]):
-            best[i] = size
-    return tuple(best[1:])
+    """Direct minimization of |sigma| over nullity classes; the oracle path.
+
+    One bincount over (nullity, |sigma|) pairs marks the sizes each nullity
+    class takes; d_i is the smallest size marked for nullity i.
+    """
+    n = M.n
+    size = popcounts(n)
+    nullity = size - M.rank_table()
+    k = int(nullity[-1])
+    keys = nullity.astype(np.int16) * (n + 1) + size
+    seen = np.bincount(keys, minlength=(k + 1) * (n + 1))
+    return tuple((seen.reshape(k + 1, n + 1)[1:] > 0).argmax(axis=1).tolist())
 
 
 def support_size(M: Matroid) -> int:
@@ -127,13 +131,10 @@ def mds_profile(M: Matroid, table: BettiTable) -> MdsProfile:
 
 def whitney_polynomial(M: Matroid) -> dict[tuple[int, int], int]:
     """Coefficients of W(x, y) = sum over subsets X of x^(r(E)-r(X)) y^(|X|-r(X))."""
-    r = M.rank(M.full)
-    rank_of = M.rank_table().tolist()
-    coeffs: dict[tuple[int, int], int] = {}
-    for mask in range(1 << M.n):
-        key = (r - rank_of[mask], mask.bit_count() - rank_of[mask])
-        coeffs[key] = coeffs.get(key, 0) + 1
-    return coeffs
+    n, table = M.n, M.rank_table()
+    keys = (table[-1] - table).astype(np.int16) * (n + 1) + (popcounts(n) - table)
+    counts = np.bincount(keys)
+    return {divmod(key, n + 1): counts.item(key) for key in np.flatnonzero(counts).tolist()}
 
 
 def whitney_terms(coeffs: dict[tuple[int, int], int]) -> list[list[int]]:

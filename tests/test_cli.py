@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -158,6 +159,41 @@ def test_large_prime_field(tmp_path, capsys):
     assert code == 1
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert "too large" in err
+
+
+def _columns_text(p, columns):
+    rows = [" ".join(str(col[r]) for col in columns) for r in range(len(columns[0]))]
+    return f"field {p}\n" + "\n".join(rows) + "\n"
+
+
+# One column per point of PG(3, 2) and of PG(2, 3): parity-check matrices of
+# the binary [15, 11] and ternary [13, 10] Hamming codes, whose duals are
+# simplex codes.  Vandermonde rows a^0, a^1, a^2 for a = 1..20 over GF(131)
+# give U(3, 20).  Weight hierarchies from Wei (IEEE Trans. IT, 1991).
+_HAMMING_2 = [c for c in itertools.product(range(2), repeat=4) if any(c)]
+_HAMMING_3 = [
+    c for c in itertools.product(range(3), repeat=3) if any(c) and next(v for v in c if v) == 1
+]
+_VANDERMONDE = [[pow(a, e, 131) for e in range(3)] for a in range(1, 21)]
+
+
+@pytest.mark.parametrize(
+    "p, columns, complex_, expected",
+    [
+        (2, _HAMMING_2, "matroid", "3 5 6 7 9 10 11 12 13 14 15"),
+        (2, _HAMMING_2, "dual", "8 12 14 15"),
+        (3, _HAMMING_3, "matroid", "3 4 6 7 8 9 10 11 12 13"),
+        (3, _HAMMING_3, "dual", "9 12 13"),
+        (131, _VANDERMONDE, "matroid", " ".join(map(str, range(4, 21)))),
+    ],
+    ids=["hamming-15-11", "simplex-15-4", "hamming-13-10", "simplex-13-3", "vandermonde-131"],
+)
+def test_closed_form_weights(p, columns, complex_, expected, tmp_path, capsys):
+    path = tmp_path / "code.txt"
+    path.write_text(_columns_text(p, columns))
+    code, out, _ = run(capsys, "weights", str(path), "--complex", complex_)
+    assert code == 0
+    assert out == f"d: {expected}\n"
 
 
 def test_input_error_ragged_rows(tmp_path, capsys):

@@ -1,11 +1,15 @@
 import itertools
+import random
 
 import pytest
 
-from ghw.finfield import FieldMatrix, PrimeField
+from ghw.finfield import FieldMatrix, PrimeField, matrix_rank
 from ghw.matroid import (
+    WORD_TABLE_MAX,
     CapExceeded,
     Matroid,
+    _echelon_search_table,
+    _word_table,
     circuit_within,
     elements,
     is_nonredundant,
@@ -33,6 +37,57 @@ def test_zero_matrix_all_loops():
     M = Matroid.from_matrix(FieldMatrix(GF2, [[0, 0, 0]]))
     assert all(M.rank(m) == 0 for m in range(8))
     assert M.loops() == 0b111
+
+
+def _all_ranks(H):
+    return [matrix_rank(H, elements(mask)) for mask in range(1 << H.cols)]
+
+
+def test_empty_matrix_tables():
+    H = FieldMatrix(GF2, [], cols=0)
+    assert _word_table(H).tolist() == _echelon_search_table(H).tolist() == [0]
+    assert Matroid.from_matrix(H).rank_table().tolist() == [0]
+
+
+def test_zero_matrix_over_large_field():
+    # Rank 0, so one word even though p is far above WORD_TABLE_MAX.
+    H = FieldMatrix(PrimeField(2**61 - 1), [[0] * 5, [0] * 5])
+    assert _word_table(H).tolist() == [0] * 32
+    assert Matroid.from_matrix(H).loops() == 0b11111
+
+
+def test_word_table_redundant_rows():
+    # Rank 3 from repeated, scaled and summed rows.  The words come from an
+    # echelon basis: with 14 rows, 3^14 would be over WORD_TABLE_MAX.
+    a, b, c = [1, 0, 2, 1, 0, 1, 1], [0, 1, 1, 2, 0, 0, 1], [0, 0, 0, 1, 1, 2, 2]
+
+    def add(*rows):
+        return [sum(col) % 3 for col in zip(*rows)]
+
+    rows = [a, b, a, c, add(a, b), [2 * v % 3 for v in c], add(a, c), add(b, c, c)]
+    for H in (FieldMatrix(PrimeField(3), rows), FieldMatrix(PrimeField(3), rows + [a] * 6)):
+        assert matrix_rank(H) == 3
+        assert _word_table(H).tolist() == _all_ranks(H)
+        assert Matroid.from_matrix(H).rank_table().tolist() == _all_ranks(H)
+    assert 3**H.rows > WORD_TABLE_MAX
+
+
+def test_large_word_count_takes_the_search():
+    # GF(7) of rank 8: 7^8 words is over WORD_TABLE_MAX.
+    rng = random.Random(8)
+    H = FieldMatrix(PrimeField(7), [[rng.randrange(7) for _ in range(9)] for _ in range(8)])
+    assert matrix_rank(H) == 8 and 7**8 > WORD_TABLE_MAX
+    assert _word_table(H) is None
+    assert Matroid.from_matrix(H).rank_table().tolist() == _all_ranks(H)
+
+
+def test_word_table_at_n20():
+    rng = random.Random(20)
+    H = FieldMatrix(PrimeField(3), [[rng.randrange(3) for _ in range(20)] for _ in range(10)])
+    table = Matroid.from_matrix(H).rank_table()
+    assert table.dtype.name == "int8" and not table.flags.writeable
+    for mask in (rng.randrange(1 << 20) for _ in range(2000)):
+        assert table[mask] == matrix_rank(H, elements(mask))
 
 
 def test_rank_nullity_examples(m1):

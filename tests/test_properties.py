@@ -3,11 +3,20 @@ the seeded 200-matroid sweep lives in test_acceptance)."""
 
 from dataclasses import asdict
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ghw.betti import betti_fine_hochster, betti_fine_matroid
 from ghw.finfield import FieldMatrix, PrimeField, matrix_rank
-from ghw.matroid import Matroid, elements, mask_of, nonredundancy_degree
+from ghw.matroid import (
+    WORD_TABLE_MAX,
+    Matroid,
+    _echelon_search_table,
+    _word_table,
+    elements,
+    mask_of,
+    nonredundancy_degree,
+)
 from ghw.simplicial import h_vector, independence_complex
 from ghw.weights import (
     mds_profile,
@@ -59,8 +68,9 @@ def test_rank_table_matches_matrix_rank_oracle(M):
 def awkward_matrices(draw):
     """Matrices over small and large prime fields, up to 8 columns, with zero
     columns (loops), repeated and rescaled columns (parallel elements), no
-    rows at all, or more rows than columns."""
-    p = draw(st.sampled_from([2, 3, 5, 7, (1 << 61) - 1]))
+    rows at all, or more rows than columns.  Entries over GF(131) and
+    GF(257) overflow a signed and an unsigned byte."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 131, 257, (1 << 61) - 1]))
     n = draw(st.integers(min_value=0, max_value=8))
     m = draw(st.integers(min_value=0, max_value=n + 3))
     entry = st.one_of(st.just(0), st.integers(1, p - 1))
@@ -81,8 +91,15 @@ def awkward_matrices(draw):
 @settings(max_examples=80, deadline=None)
 @given(awkward_matrices())
 def test_echelon_search_matches_matrix_rank(H):
-    M = Matroid.from_matrix(H)
-    assert M.rank_table().tolist() == [matrix_rank(H, elements(mask)) for mask in range(1 << H.cols)]
+    # Both table builders, called directly, and the one from_matrix picks.
+    ranks = [matrix_rank(H, elements(mask)) for mask in range(1 << H.cols)]
+    assert _echelon_search_table(H).tolist() == ranks
+    words = _word_table(H)
+    assert (words is None) == (H.field.p ** matrix_rank(H) > WORD_TABLE_MAX)
+    if words is not None:
+        assert words.dtype == np.int8
+        assert words.tolist() == ranks
+    assert Matroid.from_matrix(H).rank_table().tolist() == ranks
 
 
 def _assert_python_values(obj):
