@@ -235,9 +235,7 @@ def cmd_betti(args) -> int:
     _, M, alexander = _resolve(args)
     table = _table_for(M, alexander, args)
     if args.json:
-        obj = table.to_json_dict()
-        if not args.fine:
-            del obj["fine"]
+        obj = table.to_json_dict() if args.fine else table.coarse_json_dict()
         print(json.dumps(obj, indent=2))
         return EXIT_OK
     print("global: " + " ".join(str(v) for v in table.global_betti()))
@@ -299,9 +297,7 @@ def verify_matroid(M: Matroid, hochster_cap: int) -> list[tuple[str, bool | None
     fast = betti_fine_matroid(M)
     cx = independence_complex(M)
     results: list[tuple[str, bool | None]] = []
-    hoch = {}
-    for p in (2, 3, 5):
-        hoch[p] = betti_fine_hochster(cx, field=p, max_n=hochster_cap)
+    hoch = betti_fine_hochster(cx, field=(2, 3, 5), max_n=hochster_cap)
     results.append(("fast path vs Hochster over GF(2)", fast == hoch[2]))
     results.append(
         ("homology field independence GF(2)/GF(3)/GF(5)", hoch[2] == hoch[3] == hoch[5])

@@ -75,16 +75,6 @@ def elements(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def submasks(mask: int):
-    """All submasks of ``mask``, in decreasing numeric order, ending with 0."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def bit_halves(values: np.ndarray):
     """Per bit j, views of a per-subset array at the masks holding bit j and
     at the same masks without it: one reshape into blocks of 2^(j+1) masks."""

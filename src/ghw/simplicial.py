@@ -10,6 +10,13 @@ built as sparse columns and ranked by ``finfield.column_rank``, the same
 GF(p) elimination kernel behind matrix ranks; dimensions are reported as a
 sparse mapping degree -> dimension (degree -1 is the empty-face slot).
 
+The maps are built once per complex and field (``BoundaryMaps``), on all
+of the complex's faces sorted by (cardinality, bitmask).  An induced
+subcomplex selects its faces (``faces_by_cardinality``) and ranks their
+stored columns: its rows keep their order, so each column has the pivot
+it would have in the subcomplex's own map.  Only the signs depend on p, so
+the faces selected for one restriction serve every field.
+
 The maps are ranked from the largest faces down, with clearing (the
 "twist" of persistent-homology codes): a face whose row is a pivot of the
 map one dimension up gets no column in its own map.  The pivot column
@@ -21,7 +28,7 @@ and cannot add to the rank.
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -32,9 +39,22 @@ from .matroid import (
     check_cap,
     elements,
     popcounts,
-    submasks,
     subset_max,
 )
+
+
+# Above this many elements a restriction's faces are selected from the
+# complex's face array instead of by walking the 2^|within| submasks.
+SUBMASK_WALK_MAX = 6
+
+
+class FaceLists(NamedTuple):
+    """A complex's faces sorted by (cardinality, bitmask), in three forms."""
+
+    buckets: list[list[int]]  # bucket c: the card-c faces in bitmask order
+    masks: np.ndarray  # the buckets concatenated
+    starts: list[int]  # bucket c is masks[starts[c]:starts[c + 1]]
+    position: dict[int, int]  # face -> its index in its bucket
 
 
 def _maximalize(masks: Iterable[int]) -> tuple[int, ...]:
@@ -60,6 +80,7 @@ class SimplicialComplex:
         self.n = n
         self.facets = _maximalize(facets)
         self._face_table: bytearray | None = None
+        self._face_lists: FaceLists | None = None
 
     @property
     def is_void(self) -> bool:
@@ -99,6 +120,19 @@ class SimplicialComplex:
                         table[mask ^ b] = 1
             self._face_table = table
         return self._face_table
+
+    def face_lists(self) -> FaceLists:
+        """All faces sorted by (cardinality, bitmask), computed once."""
+        if self._face_lists is None:
+            masks = np.flatnonzero(np.frombuffer(self.face_table(), dtype=np.uint8))
+            size = popcounts(self.n)[masks]
+            masks = masks[np.argsort(size, kind="stable")]
+            starts = [0, *np.cumsum(np.bincount(size)).tolist()]
+            flat = masks.tolist()
+            buckets = [flat[a:b] for a, b in zip(starts, starts[1:])]
+            position = {m: i for bucket in buckets for i, m in enumerate(bucket)}
+            self._face_lists = FaceLists(buckets, masks, starts, position)
+        return self._face_lists
 
     def f_vector(self) -> tuple[int, ...]:
         """Face counts (f_-1, f_0, ..., f_dim); () for the void complex."""
@@ -179,18 +213,31 @@ def faces_by_cardinality(cx: SimplicialComplex, within: int) -> list[list[int]]:
 
     Returns [] for a void complex; otherwise bucket k holds the k-element
     faces in increasing bitmask order, and trailing empty buckets are trimmed.
+    A small ``within`` walks its submasks; a larger one selects from the
+    complex's sorted face array, whose cost does not double with |within|.
     """
     if cx.is_void:
         return []
-    table = cx.face_table()
-    buckets: list[list[int]] = [[] for _ in range(within.bit_count() + 1)]
-    for sub in submasks(within):
-        if table[sub]:
-            buckets[sub.bit_count()].append(sub)
+    if within.bit_count() > SUBMASK_WALK_MAX:
+        faces = cx.face_lists()
+        picked = np.flatnonzero((faces.masks & ~within) == 0)
+        masks = faces.masks[picked].tolist()
+        cuts = np.searchsorted(picked, faces.starts).tolist()
+        buckets = [masks[a:b] for a, b in zip(cuts, cuts[1:])]
+    else:
+        table = cx.face_table()
+        buckets = [[] for _ in range(within.bit_count() + 1)]
+        sub = within  # every submask, in decreasing order
+        while True:
+            if table[sub]:
+                buckets[sub.bit_count()].append(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & within
+        for b in buckets:
+            b.reverse()
     while buckets and not buckets[-1]:
         buckets.pop()
-    for b in buckets:
-        b.sort()
     return buckets
 
 
@@ -216,8 +263,30 @@ def boundary_matrix(lower: list[int], upper: list[int], p: int) -> list[dict[int
     return columns
 
 
-def homology_from_buckets(buckets: list[list[int]], p: int) -> dict[int, int]:
-    """Reduced homology dimensions of a complex given by face buckets.
+class BoundaryMaps:
+    """Every boundary map of a complex over GF(p), built once on all its faces.
+
+    ``columns[c][j]`` is the boundary of the j-th card-c face of the complex
+    (``boundary_matrix`` over the full card-(c-1) and card-c face lists),
+    and ``position`` gives each face's place in its cardinality bucket.  A
+    restriction's faces keep their relative bitmask order among all the
+    complex's faces, so the columns of its card-c faces, with rows keyed by
+    these global positions, form its own map with the same largest row in
+    every column: the same pivots and the same clearing.  Only the signs
+    depend on p; the face lists are the complex's, shared by every field.
+    """
+
+    def __init__(self, cx: SimplicialComplex, p: int):
+        faces = cx.face_lists()
+        self.p = p
+        self.position = faces.position
+        pairs = zip(faces.buckets, faces.buckets[1:])
+        self.columns = [[], *(boundary_matrix(lower, upper, p) for lower, upper in pairs)]
+
+
+def homology_from_buckets(buckets: list[list[int]], maps: BoundaryMaps) -> dict[int, int]:
+    """Reduced homology dimensions over GF(maps.p) of a subcomplex given by
+    face buckets, ranking the columns ``maps`` stores for its faces.
 
     The boundary maps are ranked from the largest faces down, with clearing:
     the pivot rows left by the map on card-(c+1) faces index card-c faces,
@@ -234,21 +303,24 @@ def homology_from_buckets(buckets: list[list[int]], p: int) -> dict[int, int]:
     # ranks[c]: rank of the boundary map from card-c faces to card-(c-1) faces
     ranks = [0] * (len(buckets) + 1)
     pivots: dict[int, dict[int, int]] = {}
+    position = maps.position
     for c in range(len(buckets) - 1, 0, -1):
         # pivots still holds the echelon basis of the map on card-(c+1) faces
-        upper = [face for i, face in enumerate(buckets[c]) if i not in pivots]
+        columns = maps.columns[c]
+        kept = [columns[j] for j in map(position.__getitem__, buckets[c]) if j not in pivots]
         pivots = {}
-        ranks[c] = column_rank(boundary_matrix(buckets[c - 1], upper, p), p, pivots)
+        ranks[c] = column_rank(kept, maps.p, pivots)
     dims = {c - 1: len(faces) - ranks[c] - ranks[c + 1] for c, faces in enumerate(buckets)}
     return {d: h for d, h in dims.items() if h}
 
 
 def reduced_homology(cx: SimplicialComplex, field: PrimeField | int = 2) -> dict[int, int]:
-    """Reduced homology dimensions of the complex over GF(p), sparse by degree."""
+    """Reduced homology dimensions of the complex over GF(p), sparse by degree:
+    the restriction to the whole ground set."""
     p = as_field(field).p
     if cx.is_void:
         return {}
-    return homology_from_buckets(faces_by_cardinality(cx, (1 << cx.n) - 1), p)
+    return homology_from_buckets(faces_by_cardinality(cx, (1 << cx.n) - 1), BoundaryMaps(cx, p))
 
 
 def reduced_euler_char(cx: SimplicialComplex) -> int:

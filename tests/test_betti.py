@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghw.betti import (
     BettiTable,
@@ -90,6 +91,44 @@ def test_hochster_torus(p):
     assert table.global_betti() == (1, 21, 49, 42, 15, 2)
     # H_1 (dim 2) and H_2 (dim 1) of the whole torus sit at sigma = {1..7}
     assert {i: v for (i, mask), v in table.fine.items() if mask == (1 << 7) - 1} == {4: 1, 5: 2}
+
+
+SWEEP_FIELDS = (2, 3, 5)
+
+
+def _single_field_tables(n, facets):
+    # a fresh complex per field, so that nothing built for one field is reused
+    return {p: betti_fine_hochster(SimplicialComplex(n, facets), p) for p in SWEEP_FIELDS}
+
+
+def test_hochster_one_sweep_equals_single_fields(m1):
+    rp2 = pset(RP2_FACETS)
+    # The cone over the projective plane with apex 7, the largest vertex:
+    # its pivots depend on the field below the top map, where a clearing set
+    # carried from one field into the next would be used.
+    cone = [f | 1 << 6 for f in rp2]
+    m1_dual = independence_complex(m1).alexander_dual().facets
+    for n, facets in ((6, rp2), (7, cone), (7, pset(TORUS_FACETS)), (6, m1_dual)):
+        single = _single_field_tables(n, facets)
+        for fields in (SWEEP_FIELDS, SWEEP_FIELDS[::-1]):
+            assert betti_fine_hochster(SimplicialComplex(n, facets), fields) == single
+    # the projective plane's tables differ by field
+    tables = betti_fine_hochster(SimplicialComplex(6, rp2), [3, 2])
+    assert set(tables) == {2, 3}
+    assert tables[2].global_betti() == (1, 10, 15, 7, 1)
+    assert tables[3].global_betti() == (1, 10, 15, 6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 7).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+    )
+)
+def test_hochster_one_sweep_random_complexes(case):
+    n, facets = case
+    swept = betti_fine_hochster(SimplicialComplex(n, facets), SWEEP_FIELDS)
+    assert swept == _single_field_tables(n, facets)
 
 
 def test_hochster_single_variable_ideal():

@@ -8,6 +8,8 @@ from ghw import simplicial
 from ghw.finfield import column_rank
 from ghw.matroid import Matroid, elements, mask_of
 from ghw.simplicial import (
+    SUBMASK_WALK_MAX,
+    BoundaryMaps,
     SimplicialComplex,
     boundary_matrix,
     faces_by_cardinality,
@@ -208,9 +210,10 @@ def _homology_without_clearing(buckets, p):
 def test_clearing_matches_full_ranks(case, p):
     n, facets, within = case
     cx = SimplicialComplex(n, facets)
+    maps = BoundaryMaps(cx, p)
     for sigma in ((1 << n) - 1, within):
         buckets = faces_by_cardinality(cx, sigma)
-        dims = homology_from_buckets(buckets, p)
+        dims = homology_from_buckets(buckets, maps)
         assert dims == _homology_without_clearing(buckets, p)
         alt = sum(h if d % 2 == 0 else -h for d, h in dims.items())
         assert alt == reduced_euler_char(cx.restrict(sigma))
@@ -218,26 +221,52 @@ def test_clearing_matches_full_ranks(case, p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_clearing_skips_paired_faces(p, m1, monkeypatch):
-    # The map on card-c faces is built only on the faces that the map on
+    # The map on card-c faces is ranked only on the faces that the map on
     # card-(c+1) faces left without a pivot, largest faces first.
-    built = []
+    ranked = []
 
-    def recording(lower, upper, p):
-        built.append(len(upper))
-        return boundary_matrix(lower, upper, p)
+    def recording(columns, p, pivots=None):
+        columns = list(columns)
+        ranked.append(len(columns))
+        return column_rank(columns, p, pivots)
 
-    monkeypatch.setattr(simplicial, "boundary_matrix", recording)
+    monkeypatch.setattr(simplicial, "column_rank", recording)
     m1_cx = independence_complex(m1)
     for cx in (RP2, TORUS, m1_cx, m1_cx.alexander_dual()):
         buckets = faces_by_cardinality(cx, (1 << cx.n) - 1)
         ranks = _full_ranks(buckets, p)
-        built.clear()
-        homology_from_buckets(buckets, p)
-        assert built == [len(buckets[c]) - ranks[c + 1] for c in range(len(buckets) - 1, 0, -1)]
+        maps = BoundaryMaps(cx, p)
+        ranked.clear()
+        homology_from_buckets(buckets, maps)
+        assert ranked == [len(buckets[c]) - ranks[c + 1] for c in range(len(buckets) - 1, 0, -1)]
     # The full simplex is acyclic: every column kept becomes a pivot.
-    built.clear()
+    ranked.clear()
     reduced_homology(SimplicialComplex(6, [(1 << 6) - 1]), p)
-    assert built == [comb(5, c - 1) for c in range(6, 0, -1)]
+    assert ranked == [comb(5, c - 1) for c in range(6, 0, -1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 11).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(0, (1 << n) - 1), max_size=10),
+            st.integers(0, (1 << n) - 1),
+        )
+    )
+)
+def test_faces_by_cardinality_matches_face_table(case):
+    # Both selections: the submask walk up to SUBMASK_WALK_MAX elements, the
+    # face-array selection above it.
+    n, facets, within = case
+    cx = SimplicialComplex(n, facets)
+    table = cx.face_table()
+    for sigma in (within, (1 << n) - 1, within & ((1 << SUBMASK_WALK_MAX) - 1)):
+        inside = [m for m in range(1 << n) if table[m] and m & ~sigma == 0]
+        expected = [[m for m in inside if m.bit_count() == c] for c in range(n + 1)]
+        while expected and not expected[-1]:
+            expected.pop()
+        assert faces_by_cardinality(cx, sigma) == expected
 
 
 def test_homology_field_independence(m1, m5, m7):
