@@ -7,7 +7,9 @@ path's: a matroid complex's homology does not depend on the field.
 
 Each matroid's rank table is also checked against ``matrix_rank`` (column
 elimination) on every subset: the fast path, the oracle's complex and
-``weights_bruteforce`` all read that one table.  Fields are drawn from
+``weights_bruteforce`` all read that one table.  So are the tables of the
+same matroid rebuilt from its bases and from its circuits, which come from
+independence indicators instead of the matrix.  Fields are drawn from
 GF(2), GF(3), GF(5) and GF(7); GF(7) matrices of rank 8 or more have more
 than ``WORD_TABLE_MAX`` row-space words, so their tables come from the
 echelon search instead of the word count.
@@ -50,8 +52,12 @@ def main():
         # matrix's own (GF(7) is the only one not already among them).
         hoch = betti_fine_hochster(independence_complex(M), sorted({2, 3, 5, p}))
         k = M.n - M.rank(M.full)
+        rebuilt = (
+            Matroid.from_bases(n, map(elements, M.bases())),
+            Matroid.from_circuits(n, map(elements, M.circuits())),
+        )
         ok = (
-            M.rank_table().tolist() == ranks
+            all(R.rank_table().tolist() == ranks for R in (M, *rebuilt))
             and all(fast == table for table in hoch.values())
             and weights_from_betti(fast, k) == weights_bruteforce(M)
         )

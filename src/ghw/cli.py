@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from . import betti as betti_mod
 from .betti import BettiTable, betti_fine_hochster, betti_fine_matroid, render_diagram
 from .finfield import FieldMatrix, PrimeField
-from .matroid import DEFAULT_MAX_GROUND, CapExceeded, Matroid, elements, sweep_cost
+from .matroid import DEFAULT_MAX_GROUND, CapExceeded, Matroid, one_based, sweep_cost
 from .simplicial import independence_complex
 from .weights import (
     mds_profile,
@@ -245,8 +245,7 @@ def cmd_betti(args) -> int:
     if args.fine:
         print("i sigma beta")
         for (i, mask), v in sorted(table.fine.items()):
-            sigma = ",".join(str(e + 1) for e in elements(mask))
-            print(f"{i} {{{sigma}}} {v}")
+            print(f"{i} {one_based(mask)} {v}")
     return EXIT_OK
 
 

@@ -6,14 +6,17 @@ rank table, one int8 per subset, indexed by bitmask.  A matrix matroid
 whose row space has at most WORD_TABLE_MAX words builds it from those
 words: the words vanishing on a subset S number p^(k - r(S)), so one
 histogram of zero sets, one superset-sum and a count of powers of p give
-every rank at once (``_word_table``).  Any other matroid, and a matrix
-matroid above that bound, builds it by a depth-first search over the
-independent sets (``_search``).  There a matrix matroid's node carries the
-echelon basis of its set's columns, so testing one more element reduces
-that one column (``finfield.column_rank``); other matroids ask their rank
-oracle.  Circuits, bases, loops, isthmuses, duals and restrictions are all
-read off that table.  It costs 2^n bytes and O(n 2^n) sweeps, so ground
-sets are capped (default 20) instead of silently hanging.
+every rank at once (``_word_table``).  A matrix matroid above that bound
+builds it by a depth-first search over the independent sets (``_search``),
+each node carrying the echelon basis of its set's columns, so testing one
+more element reduces that one column (``finfield.column_rank``).  Bases,
+circuits and uniform matroids are built table first: their independence
+indicator over the 2^n subsets is a bit sweep over the given sets, their
+axioms are one purity check on it (``impure_restriction``), and the table
+is one subset-max of |I| over the independent I.  Circuits, bases, loops,
+isthmuses, duals and restrictions are all read off the table.  It costs
+2^n bytes and O(n 2^n) sweeps, so ground sets are capped (default 20)
+instead of silently hanging.
 
 Beyond the usual matroid calculus this module implements the non-redundant
 circuit machinery: a family of circuits is non-redundant when each member
@@ -107,6 +110,52 @@ def each_element(values: np.ndarray, holds) -> np.ndarray:
     for (out_with, _), (with_bit, without) in zip(bit_halves(out), bit_halves(values)):
         out_with &= holds(with_bit, without)
     return out
+
+
+def downward_closure(n: int, masks: Iterable[int]) -> np.ndarray:
+    """Per mask below 2^n: does it lie inside one of ``masks``?"""
+    out = np.zeros(1 << n, dtype=bool)
+    out[list(masks)] = True
+    for with_bit, without in bit_halves(out):
+        without |= with_bit
+    return out
+
+
+def one_based(mask: int) -> str:
+    """A subset as its 1-based elements, the way users number them: {1,3,4}."""
+    return "{" + ",".join(str(e + 1) for e in elements(mask)) + "}"
+
+
+def impure_restriction(face: np.ndarray) -> tuple[int, int] | None:
+    """A face F and a set S such that F is a facet of the subcomplex induced
+    on S but smaller than its largest face, or None if every induced
+    subcomplex is pure, i.e. ``face`` indicates a matroid complex.
+
+    F is maximal on S exactly when S avoids ext(F), the elements x outside F
+    with F + x a face.  So it is enough to try S = E - ext(F) for each face F,
+    the largest such set, against r(S), the largest face size over S.  r
+    comes from one subset-max sweep and ext from one sweep per element.
+    """
+    n = face.size.bit_length() - 1
+    size = popcounts(n)
+    r = subset_max(size * face)
+    ext = np.zeros(1 << n, dtype=np.int64)
+    for j, ((face_with, _), (_, ext_without)) in enumerate(
+        zip(bit_halves(face), bit_halves(ext))
+    ):
+        ext_without[face_with] |= 1 << j
+    faces = np.flatnonzero(face)
+    spans = ((1 << n) - 1) & ~ext[faces]
+    bad = np.flatnonzero(r[spans] != size[faces])
+    return (int(faces[bad[0]]), int(spans[bad[0]])) if bad.size else None
+
+
+def _require_pure(independent: np.ndarray, axiom: str) -> None:
+    if (bad := impure_restriction(independent)) is not None:
+        raise ValueError(
+            f"{axiom} fails: {one_based(bad[0])} is a maximal independent subset of"
+            f" {one_based(bad[1])}, but not a largest one"
+        )
 
 
 # A matrix matroid whose row space has at most this many words (p^k, with
@@ -236,19 +285,21 @@ def _word_table(H: FieldMatrix) -> np.ndarray | None:
 
 
 class Matroid:
-    """A matroid given by a rank oracle on bitmask subsets of {0..n-1}.
+    """A matroid on bitmask subsets of {0..n-1}, given by its rank table.
 
-    The dense rank table is built on first use, and every query reads it.
-    Only that build asks the oracle.  A matrix matroid's build never does:
-    it counts the zero sets of its row space's words, or, with more than
-    WORD_TABLE_MAX words, extends echelon bases.  Instances are immutable
-    after construction, and the table is read-only.
+    Every query reads the dense rank table.  A matrix matroid builds it on
+    first use, from the zero sets of its row space's words or, with more
+    than WORD_TABLE_MAX words, by extending echelon bases.  Bases, circuits,
+    uniform matroids, duals and restrictions build it at construction.  A
+    bare ``Matroid(n, rank_fn)`` asks its rank oracle once per subset, on
+    first use.  Instances are immutable after construction, and the table
+    is read-only.
     """
 
     def __init__(
         self,
         n: int,
-        rank_fn: Callable[[int], int],
+        rank_fn: Callable[[int], int] | None,
         provenance: str = "oracle",
         max_n: int = DEFAULT_MAX_GROUND,
     ):
@@ -259,7 +310,7 @@ class Matroid:
         self.provenance = provenance
         self.max_n = max_n
         self._rank_fn = rank_fn
-        # Builds the rank table; None searches the independent sets with rank_fn.
+        # Builds the rank table; None asks rank_fn for every subset.
         self._build: Callable[[], np.ndarray] | None = None
         self._table: np.ndarray | None = None
         self._circuits: tuple[int, ...] | None = None
@@ -287,7 +338,8 @@ class Matroid:
     def from_bases(
         cls, n: int, bases: Iterable[Iterable[int]], max_n: int = DEFAULT_MAX_GROUND
     ) -> "Matroid":
-        """Matroid with the given bases; the exchange axiom is validated."""
+        """Matroid with the given bases; the exchange axiom is validated: it
+        holds exactly when the bases' subsets form a matroid complex."""
         check_cap(n, max_n)
         base_masks = sorted({mask_of(b) for b in bases})
         if not base_masks:
@@ -298,29 +350,18 @@ class Matroid:
         sizes = {b.bit_count() for b in base_masks}
         if len(sizes) != 1:
             raise ValueError(f"bases are not equicardinal: sizes {sorted(sizes)}")
-        base_set = set(base_masks)
-        for A in base_masks:
-            for B in base_masks:
-                if A == B:
-                    continue
-                for x in elements(A & ~B):
-                    xbit = 1 << x
-                    if not any(((A ^ xbit) | (1 << y)) in base_set for y in elements(B & ~A)):
-                        raise ValueError(
-                            "basis exchange axiom fails for bases "
-                            f"{elements(A)} and {elements(B)} at element {x}"
-                        )
-
-        def rank_fn(mask: int) -> int:
-            return max((mask & b).bit_count() for b in base_masks)
-
-        return cls(n, rank_fn, provenance="bases", max_n=max_n)
+        independent = downward_closure(n, base_masks)
+        _require_pure(independent, "basis exchange axiom")
+        return cls._of_table(n, subset_max(popcounts(n) * independent), "bases", max_n)
 
     @classmethod
     def from_circuits(
         cls, n: int, circuits: Iterable[Iterable[int]], max_n: int = DEFAULT_MAX_GROUND
     ) -> "Matroid":
-        """Matroid with the given circuit collection; circuit axioms are validated."""
+        """Matroid with the given circuit collection; circuit axioms are validated.
+
+        An antichain of circuits satisfies elimination exactly when the sets
+        holding none of them form a matroid complex."""
         check_cap(n, max_n)
         circ_masks = sorted({mask_of(c) for c in circuits}, key=lambda m: (m.bit_count(), m))
         for c in circ_masks:
@@ -328,54 +369,38 @@ class Matroid:
                 raise ValueError("the empty set cannot be a circuit")
             if c >> n:
                 raise ValueError(f"circuit {elements(c)} is not inside the ground set of size {n}")
-        for i, c1 in enumerate(circ_masks):
-            for c2 in circ_masks[i + 1 :]:
-                if c1 & c2 == c1 or c1 & c2 == c2:
-                    raise ValueError(
-                        f"circuits must form an antichain: {elements(c1)} and {elements(c2)}"
-                    )
-        # Weak circuit elimination: the input is supposed to be *all* circuits.
-        for i, c1 in enumerate(circ_masks):
-            for c2 in circ_masks[i + 1 :]:
-                for x in elements(c1 & c2):
-                    target = (c1 | c2) ^ (1 << x)
-                    if not any(c & ~target == 0 for c in circ_masks):
-                        raise ValueError(
-                            "circuit elimination axiom fails for "
-                            f"{elements(c1)} and {elements(c2)} at element {x}"
-                        )
-
-        def rank_fn(mask: int) -> int:
-            # Greedy independent augmentation; valid once the axioms hold.
-            indep = 0
-            m = mask
-            while m:
-                b = m & -m
-                m ^= b
-                cand = indep | b
-                if not any(c & ~cand == 0 for c in circ_masks):
-                    indep = cand
-            return indep.bit_count()
-
-        return cls(n, rank_fn, provenance="circuits", max_n=max_n)
+        # S holds a circuit C exactly when E - S lies inside E - C.
+        dependent = downward_closure(n, (((1 << n) - 1) ^ c for c in circ_masks))[::-1]
+        minimal = each_element(dependent, lambda _, smaller: ~smaller)
+        for c in circ_masks:
+            if not minimal[c]:
+                inner = next(d for d in circ_masks if d != c and d & ~c == 0)
+                raise ValueError(
+                    f"circuits must form an antichain: {one_based(inner)} and {one_based(c)}"
+                )
+        independent = ~dependent
+        _require_pure(independent, "circuit elimination axiom")
+        return cls._of_table(n, subset_max(popcounts(n) * independent), "circuits", max_n)
 
     @classmethod
     def uniform(cls, r: int, n: int, max_n: int = DEFAULT_MAX_GROUND) -> "Matroid":
         """The uniform matroid U(r, n): every r-subset is a basis."""
         if not 0 <= r <= n:
             raise ValueError(f"uniform matroid needs 0 <= r <= n, got r={r}, n={n}")
+        check_cap(n, max_n)
+        return cls._of_table(n, np.minimum(popcounts(n), r), "uniform", max_n)
 
-        def rank_fn(mask: int) -> int:
-            return min(mask.bit_count(), r)
-
-        return cls(n, rank_fn, provenance="uniform", max_n=max_n)
+    @classmethod
+    def _of_table(cls, n: int, table: np.ndarray, provenance: str, max_n: int) -> "Matroid":
+        """The matroid on n elements with this rank table, built at construction."""
+        table.setflags(write=False)
+        M = cls(n, None, provenance, max_n)
+        M._table = table
+        return M
 
     def _derived(self, n: int, table: np.ndarray, provenance: str) -> "Matroid":
         """The matroid on n elements with this rank table, under this one's cap."""
-        table.setflags(write=False)
-        M = Matroid(n, table.item, provenance, self.max_n)
-        M._table = table
-        return M
+        return self._of_table(n, table, provenance, self.max_n)
 
     # -- the rank table --------------------------------------------------
 
@@ -386,22 +411,18 @@ class Matroid:
     def rank_table(self) -> np.ndarray:
         """Ranks of all 2^n subsets as a read-only int8 array indexed by bitmask.
 
-        Built once, on first use.  A matrix matroid with at most
-        WORD_TABLE_MAX words in its row space counts, per subset, the words
-        vanishing there (``_word_table``).  Any other matroid, and a larger
-        matrix matroid, gets the table from a depth-first search over its
-        independent sets (``_search``): a matrix matroid's search extends
-        echelon bases (``_echelon_search_table``), any other asks its rank
-        oracle whether rank(I + x) = |I| + 1.
+        Built once.  A matrix matroid builds it on first use: with at most
+        WORD_TABLE_MAX words in its row space it counts, per subset, the
+        words vanishing there (``_word_table``); otherwise a depth-first
+        search over its independent sets extends echelon bases
+        (``_echelon_search_table``).  Every other constructor builds it at
+        construction, except a bare oracle matroid, which asks its rank
+        oracle once per subset here.
         """
         if self._table is None:
             if self._build is None:
-                rank_fn = self._rank_fn
-
-                def ask_oracle(_state, cand, _x):
-                    return () if rank_fn(cand) == cand.bit_count() else None
-
-                table = _search(self.n, (), ask_oracle)
+                size = 1 << self.n
+                table = np.fromiter(map(self._rank_fn, range(size)), dtype=np.int8, count=size)
             else:
                 table = self._build()
             table.setflags(write=False)

@@ -1,8 +1,11 @@
-"""Facet-represented simplicial complexes and reduced homology over GF(p).
+"""Simplicial complexes as face indicators, and reduced homology over GF(p).
 
-A complex on ground set {0..n-1} is stored as its antichain of facets
-(bitmasks).  The empty complex {emptyset} has the single facet 0; a complex
-with no faces at all (the void complex) has no facets.
+A complex on ground set {0..n-1} is stored as its face indicator: one
+read-only bool per subset, indexed by bitmask.  The empty complex
+{emptyset} marks only mask 0; the void complex, with no faces at all, marks
+nothing.  Facets, minimal non-faces, f-vectors, Alexander duals and
+induced subcomplexes are each a bit sweep, a ``bincount`` or an elementwise
+operation on that array.
 
 Reduced homology uses the chain complex with the incidence sign
 (-1)^(r-1) for the r-th smallest element of a face.  Boundary maps are
@@ -37,9 +40,11 @@ from .matroid import (
     DEFAULT_MAX_GROUND,
     bit_halves,
     check_cap,
+    downward_closure,
+    each_element,
     elements,
+    impure_restriction,
     popcounts,
-    subset_max,
 )
 
 
@@ -57,19 +62,17 @@ class FaceLists(NamedTuple):
     position: dict[int, int]  # face -> its index in its bucket
 
 
-def _maximalize(masks: Iterable[int]) -> tuple[int, ...]:
-    uniq = sorted(set(masks), key=lambda m: (-m.bit_count(), m))
-    kept: list[int] = []
-    for m in uniq:
-        if not any(m & ~k == 0 for k in kept):
-            kept.append(m)
-    return tuple(sorted(kept, key=lambda m: (m.bit_count(), m)))
+def _by_size(n: int, marks: np.ndarray) -> tuple[int, ...]:
+    """The marked masks in (cardinality, bitmask) order."""
+    masks = np.flatnonzero(marks)
+    return tuple(masks[np.argsort(popcounts(n)[masks], kind="stable")].tolist())
 
 
 class SimplicialComplex:
-    """A simplicial complex given by its facets (maximal faces) as bitmasks."""
+    """A simplicial complex, stored as the indicator of its faces."""
 
     def __init__(self, n: int, facets: Iterable[int], max_n: int = DEFAULT_MAX_GROUND):
+        """The complex generated by ``facets`` (bitmasks; need not be maximal)."""
         if n < 0:
             raise ValueError("ground set size must be >= 0")
         check_cap(n, max_n, "face sweeps")
@@ -77,54 +80,62 @@ class SimplicialComplex:
         for f in facets:
             if f < 0 or f >> n:
                 raise ValueError(f"facet {elements(f)} is not inside the ground set of size {n}")
-        self.n = n
-        self.facets = _maximalize(facets)
-        self._face_table: bytearray | None = None
+        self._adopt(downward_closure(n, facets))
+
+    @classmethod
+    def of_faces(cls, face: np.ndarray) -> "SimplicialComplex":
+        """The complex whose faces ``face`` marks: a bool array over the 2^n
+        masks that is already closed under taking subsets."""
+        cx = cls.__new__(cls)
+        cx._adopt(face)
+        return cx
+
+    def _adopt(self, face: np.ndarray) -> None:
+        face.setflags(write=False)
+        self.n = face.size.bit_length() - 1
+        self._face = face
         self._face_lists: FaceLists | None = None
 
     @property
+    def facets(self) -> tuple[int, ...]:
+        """The maximal faces, in (cardinality, bitmask) order."""
+        maximal = self._face.copy()
+        for (_, without), (face_with, _) in zip(bit_halves(maximal), bit_halves(self._face)):
+            without &= ~face_with
+        return _by_size(self.n, maximal)
+
+    @property
     def is_void(self) -> bool:
-        return not self.facets
+        return not self._face[0]
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self.n == other.n and self.facets == other.facets
+        return self.n == other.n and np.array_equal(self._face, other._face)
 
     def __hash__(self):
-        return hash((self.n, self.facets))
+        return hash((self.n, self._face.tobytes()))
 
     def __repr__(self):
-        shown = [elements(f) for f in self.facets[:6]]
-        more = "..." if len(self.facets) > 6 else ""
+        facets = self.facets
+        shown = [elements(f) for f in facets[:6]]
+        more = "..." if len(facets) > 6 else ""
         return f"SimplicialComplex(n={self.n}, facets={shown}{more})"
 
     def dim(self) -> int:
         """Dimension: one less than the largest facet size; -1 for {emptyset}."""
         if self.is_void:
             raise ValueError("the void complex has no dimension")
-        return max(f.bit_count() for f in self.facets) - 1
+        return len(self.f_vector()) - 2
 
-    def face_table(self) -> bytearray:
-        """Indicator of all faces, indexed by bitmask (downward closure of facets)."""
-        if self._face_table is None:
-            table = bytearray(1 << self.n)
-            for f in self.facets:
-                table[f] = 1
-            for mask in range((1 << self.n) - 1, -1, -1):
-                if table[mask]:
-                    m = mask
-                    while m:
-                        b = m & -m
-                        m ^= b
-                        table[mask ^ b] = 1
-            self._face_table = table
-        return self._face_table
+    def face_table(self) -> np.ndarray:
+        """Indicator of all faces, indexed by bitmask (read-only bool)."""
+        return self._face
 
     def face_lists(self) -> FaceLists:
         """All faces sorted by (cardinality, bitmask), computed once."""
         if self._face_lists is None:
-            masks = np.flatnonzero(np.frombuffer(self.face_table(), dtype=np.uint8))
+            masks = np.flatnonzero(self.face_table())
             size = popcounts(self.n)[masks]
             masks = masks[np.argsort(size, kind="stable")]
             starts = [0, *np.cumsum(np.bincount(size)).tolist()]
@@ -136,76 +147,36 @@ class SimplicialComplex:
 
     def f_vector(self) -> tuple[int, ...]:
         """Face counts (f_-1, f_0, ..., f_dim); () for the void complex."""
-        if self.is_void:
-            return ()
-        counts = [0] * (self.dim() + 2)
-        table = self.face_table()
-        for mask in range(1 << self.n):
-            if table[mask]:
-                counts[mask.bit_count()] += 1
-        return tuple(counts)
+        return tuple(np.bincount(popcounts(self.n)[self._face]).tolist())
 
     def restrict(self, sigma: int) -> "SimplicialComplex":
-        """Faces meeting sigma, i.e. the induced subcomplex on sigma (same labels)."""
-        return SimplicialComplex(self.n, (f & sigma for f in self.facets), max_n=self.n)
+        """Faces inside sigma, i.e. the induced subcomplex on sigma (same labels)."""
+        inside = (np.arange(1 << self.n) & ~sigma) == 0
+        return self.of_faces(self._face & inside)
 
     def minimal_nonfaces(self) -> tuple[int, ...]:
         """Minimal non-faces; these generate the Stanley-Reisner ideal."""
-        table = self.face_table()
-        out = []
-        for mask in range(1 << self.n):
-            if table[mask]:
-                continue
-            m = mask
-            minimal = True
-            while m:
-                b = m & -m
-                m ^= b
-                if not table[mask ^ b]:
-                    minimal = False
-                    break
-            if minimal:
-                out.append(mask)
-        return tuple(sorted(out, key=lambda m: (m.bit_count(), m)))
+        below = each_element(self._face, lambda _, smaller: smaller)
+        return _by_size(self.n, ~self._face & below)
 
     def alexander_dual(self) -> "SimplicialComplex":
         """Complex whose faces are complements of the non-faces of this one.
 
         Its facets are the complements of the minimal non-faces; for an
         independence complex those are the complements of the circuits.
+        Mask E - G sits at index 2^n - 1 - G, so the dual's indicator is the
+        non-face indicator reversed.
         """
-        full = (1 << self.n) - 1
-        return SimplicialComplex(
-            self.n, (full ^ m for m in self.minimal_nonfaces()), max_n=self.n
-        )
+        return self.of_faces((~self._face)[::-1].copy())
 
     def is_matroid_complex(self) -> bool:
-        """Is every induced subcomplex pure (the matroid complex criterion)?
-
-        A face F is maximal in the subcomplex induced on S exactly when S
-        avoids ext(F), the elements x outside F with F + x a face.  So all
-        such subcomplexes are pure iff every face F has the largest face
-        size r(S) over S = E - ext(F) equal to |F|.  r comes from one
-        subset-max sweep and ext from one sweep per element.
-        """
-        if self.is_void:
-            return False
-        n = self.n
-        face = np.frombuffer(self.face_table(), dtype=bool)
-        size = popcounts(n)
-        r = subset_max(size * face)
-        ext = np.zeros(1 << n, dtype=np.int64)
-        for j, ((face_with, _), (_, ext_without)) in enumerate(
-            zip(bit_halves(face), bit_halves(ext))
-        ):
-            ext_without[face_with] |= 1 << j
-        faces = np.flatnonzero(face)
-        return bool((r[((1 << n) - 1) & ~ext[faces]] == size[faces]).all())
+        """Is every induced subcomplex pure (the matroid complex criterion)?"""
+        return not self.is_void and impure_restriction(self._face) is None
 
 
 def independence_complex(M) -> SimplicialComplex:
     """The complex of independent sets of a matroid; facets are the bases."""
-    return SimplicialComplex(M.n, M.bases(), max_n=M.max_n)
+    return SimplicialComplex.of_faces(M.rank_table() == popcounts(M.n))
 
 
 def faces_by_cardinality(cx: SimplicialComplex, within: int) -> list[list[int]]:
@@ -225,7 +196,7 @@ def faces_by_cardinality(cx: SimplicialComplex, within: int) -> list[list[int]]:
         cuts = np.searchsorted(picked, faces.starts).tolist()
         buckets = [masks[a:b] for a, b in zip(cuts, cuts[1:])]
     else:
-        table = cx.face_table()
+        table = memoryview(cx.face_table())
         buckets = [[] for _ in range(within.bit_count() + 1)]
         sub = within  # every submask, in decreasing order
         while True:

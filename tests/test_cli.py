@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -218,6 +219,23 @@ def test_input_error_bad_json(tmp_path, capsys):
     code, _, err = run(capsys, "weights", str(bad))
     assert code == 1
     assert "exchange" in err
+
+
+@pytest.mark.parametrize(
+    "text, n, axiom",
+    [
+        ('{"n": 4, "bases": [[1, 2], [3, 4]]}', 4, "exchange"),
+        ('{"n": 3, "circuits": [[1, 2], [2, 3]]}', 3, "elimination"),
+    ],
+)
+def test_axiom_errors_name_one_based_elements(tmp_path, capsys, text, n, axiom):
+    # The sets named in the message use the input's 1-based elements.
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, _, err = run(capsys, "weights", str(bad))
+    assert code == 1 and axiom in err
+    assert re.search(r"\{\d+(,\d+)*\}", err)
+    assert all(1 <= int(e) <= n for e in re.findall(r"\d+", err))
 
 
 def test_input_error_out_of_range_element(tmp_path, capsys):

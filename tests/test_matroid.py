@@ -1,8 +1,11 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ghw import matroid
 from ghw.finfield import FieldMatrix, PrimeField, matrix_rank
 from ghw.matroid import (
     WORD_TABLE_MAX,
@@ -12,6 +15,7 @@ from ghw.matroid import (
     _word_table,
     circuit_within,
     elements,
+    impure_restriction,
     is_nonredundant,
     mask_of,
     nonredundancy_degree,
@@ -150,6 +154,105 @@ def test_from_circuits_validation():
         Matroid.from_circuits(3, [[]])
     with pytest.raises(ValueError, match="elimination"):
         Matroid.from_circuits(3, [[0, 1], [1, 2]])
+
+
+def _exchange_holds(bases):
+    """Basis exchange, pair by pair: for bases A != B and x in A - B, some
+    y in B - A makes A - x + y a basis."""
+    return all(
+        any((A ^ 1 << x) | 1 << y in bases for y in elements(B & ~A))
+        for A in bases
+        for B in bases
+        if A != B
+        for x in elements(A & ~B)
+    )
+
+
+def _elimination_holds(circuits):
+    """Weak circuit elimination, pair by pair: for circuits C1 != C2 and x in
+    both, some circuit lies inside C1 + C2 - x."""
+    return all(
+        any(c & ~((c1 | c2) ^ 1 << x) == 0 for c in circuits)
+        for c1 in circuits
+        for c2 in circuits
+        if c1 != c2
+        for x in elements(c1 & c2)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 6)
+    .flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
+    .flatmap(
+        lambda nk: st.tuples(
+            st.just(nk[0]),
+            st.lists(
+                st.sampled_from([m for m in range(1 << nk[0]) if m.bit_count() == nk[1]]),
+                min_size=1,
+                max_size=8,
+            ),
+        )
+    )
+)
+def test_from_bases_accepts_exactly_the_exchange_families(case):
+    n, bases = case
+    expected = _exchange_holds(set(bases))
+    try:
+        M = Matroid.from_bases(n, [elements(b) for b in bases])
+    except ValueError as exc:
+        assert not expected and "exchange" in str(exc)
+    else:
+        assert expected and set(M.bases()) == set(bases)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(1, (1 << n) - 1), max_size=8))
+    )
+)
+def test_from_circuits_accepts_exactly_the_elimination_antichains(case):
+    n, masks = case
+    circuits = {c for c in masks if not any(d != c and d & ~c == 0 for d in masks)}
+    expected = _elimination_holds(circuits)
+    try:
+        M = Matroid.from_circuits(n, [elements(c) for c in circuits])
+    except ValueError as exc:
+        assert not expected and "elimination" in str(exc)
+    else:
+        assert expected and set(M.circuits()) == circuits
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    )
+)
+def test_impure_restriction_names_a_smaller_facet(case):
+    # The witness: F is a face and a facet of the subcomplex on S, which
+    # holds a larger face.
+    n, facets = case
+    faces = {m for f in facets for m in range(1 << n) if m & ~f == 0}
+    face = np.zeros(1 << n, dtype=bool)
+    face[list(faces)] = True
+    bad = impure_restriction(face)
+    if bad is None:
+        return
+    F, S = bad
+    assert F in faces and F & ~S == 0
+    assert not any(F | 1 << x in faces for x in elements(S & ~F))
+    assert any(G & ~S == 0 and G.bit_count() > F.bit_count() for G in faces)
+
+
+def test_uniform_checks_the_cap_before_building(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"a 2^{n} array was built before the cap check")
+
+    monkeypatch.setattr(matroid, "popcounts", refuse)
+    with pytest.raises(CapExceeded):
+        Matroid.uniform(2, 21)
 
 
 def test_uniform():

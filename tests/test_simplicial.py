@@ -26,6 +26,54 @@ RP2 = SimplicialComplex(6, pset(RP2_FACETS))
 TORUS = SimplicialComplex(7, pset(TORUS_FACETS))
 
 
+def _by_size(masks):
+    return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
+
+
+def _faces_of(cx):
+    return {m for m in range(1 << cx.n) if cx.face_table()[m]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(0, (1 << n) - 1), max_size=6),
+            st.integers(0, (1 << n) - 1),
+        )
+    )
+)
+def test_face_indicator_matches_facet_list_reference(case):
+    # Reference: the faces listed from the facets by brute force, and every
+    # derived structure read off that set.
+    n, facets, sigma = case
+    full = (1 << n) - 1
+    faces = {m for f in facets for m in range(1 << n) if m & ~f == 0}
+    nonfaces = set(range(1 << n)) - faces
+    cx = SimplicialComplex(n, facets)
+    assert _faces_of(cx) == faces
+    assert cx.is_void == (not faces)
+    assert cx.facets == _by_size(
+        f for f in faces if not any(f | 1 << x in faces for x in range(n) if not f >> x & 1)
+    )
+    sizes = Counter(f.bit_count() for f in faces)
+    assert cx.f_vector() == tuple(sizes[c] for c in range(max(sizes, default=-1) + 1))
+    assert cx.minimal_nonfaces() == _by_size(
+        m for m in nonfaces if all(m & ~(1 << x) in faces for x in elements(m))
+    )
+    dual = cx.alexander_dual()
+    assert _faces_of(dual) == {full ^ m for m in nonfaces}
+    assert dual.alexander_dual() == cx
+    restricted = cx.restrict(sigma)
+    assert _faces_of(restricted) == {f for f in faces if f & ~sigma == 0}
+    # == and hash read the faces, not the facet list given
+    again = SimplicialComplex(n, [f & sigma for f in facets] + facets[::-1])
+    assert again == cx and hash(again) == hash(cx)
+    assert SimplicialComplex(n, cx.facets) == cx
+    assert (restricted == cx) == (restricted.f_vector() == cx.f_vector())
+
+
 def test_facets_are_maximalized():
     cx = SimplicialComplex(3, [0b011, 0b001, 0b110])
     assert cx.facets == (0b011, 0b110)
