@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Cross-check the fast Betti path against the homology oracle on random matroids.
+"""Cross-check the fast Betti paths against the homology oracle on random matroids.
 
 The oracle runs over GF(2), GF(3), GF(5) and the matrix's own field in one
 sweep over the restrictions, and every one of its tables must equal the fast
-path's: a matroid complex's homology does not depend on the field.
+path's: a matroid complex's homology does not depend on the field.  The same
+sweep on the Alexander dual of the independence complex of the matroid and
+of its dual must equal ``betti_fine_alexander`` of each.
 
 Each matroid's rank table is also checked against ``matrix_rank`` (column
 elimination) on every subset: the fast path, the oracle's complex and
@@ -25,7 +27,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from ghw.betti import betti_fine_hochster, betti_fine_matroid  # noqa: E402
+from ghw.betti import (  # noqa: E402
+    betti_fine_alexander,
+    betti_fine_hochster,
+    betti_fine_matroid,
+)
 from ghw.finfield import FieldMatrix, PrimeField, matrix_rank  # noqa: E402
 from ghw.matroid import Matroid, elements  # noqa: E402
 from ghw.simplicial import independence_complex  # noqa: E402
@@ -50,7 +56,12 @@ def main():
         fast = betti_fine_matroid(M)
         # One oracle sweep ranks every field: GF(2), GF(3), GF(5) and the
         # matrix's own (GF(7) is the only one not already among them).
-        hoch = betti_fine_hochster(independence_complex(M), sorted({2, 3, 5, p}))
+        fields = sorted({2, 3, 5, p})
+        hoch = betti_fine_hochster(independence_complex(M), fields)
+        alexander = [
+            (betti_fine_alexander(N), betti_fine_hochster(independence_complex(N).alexander_dual(), fields))
+            for N in (M, M.dual())
+        ]
         k = M.n - M.rank(M.full)
         rebuilt = (
             Matroid.from_bases(n, map(elements, M.bases())),
@@ -59,6 +70,7 @@ def main():
         ok = (
             all(R.rank_table().tolist() == ranks for R in (M, *rebuilt))
             and all(fast == table for table in hoch.values())
+            and all(closed == table for closed, tables in alexander for table in tables.values())
             and weights_from_betti(fast, k) == weights_bruteforce(M)
         )
         if not ok:

@@ -11,7 +11,13 @@ that never touches homology, and an independent reduced-homology oracle.
 from .finfield import FieldMatrix, PrimeField, matrix_rank
 from .matroid import CapExceeded, Matroid, mask_of, elements
 from .simplicial import SimplicialComplex, independence_complex, reduced_homology
-from .betti import BettiTable, betti_fine_hochster, betti_fine_matroid, render_diagram
+from .betti import (
+    BettiTable,
+    betti_fine_alexander,
+    betti_fine_hochster,
+    betti_fine_matroid,
+    render_diagram,
+)
 from .weights import (
     clifford_and_gonality,
     mds_profile,
@@ -30,6 +36,7 @@ __all__ = [
     "Matroid",
     "PrimeField",
     "SimplicialComplex",
+    "betti_fine_alexander",
     "betti_fine_hochster",
     "betti_fine_matroid",
     "clifford_and_gonality",

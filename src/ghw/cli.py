@@ -17,7 +17,13 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import betti as betti_mod
-from .betti import BettiTable, betti_fine_hochster, betti_fine_matroid, render_diagram
+from .betti import (
+    BettiTable,
+    betti_fine_alexander,
+    betti_fine_hochster,
+    betti_fine_matroid,
+    render_diagram,
+)
 from .finfield import FieldMatrix, PrimeField
 from .matroid import DEFAULT_MAX_GROUND, CapExceeded, Matroid, one_based, sweep_cost
 from .simplicial import independence_complex
@@ -202,12 +208,8 @@ def _resolve(args) -> tuple[Matroid, Matroid, bool]:
     return base, M, args.complex in ("alexander", "dual-alexander")
 
 
-def _table_for(M: Matroid, alexander: bool, args) -> BettiTable:
-    if not alexander:
-        return betti_fine_matroid(M)
-    hochster_cap = args.max_n if args.max_n is not None else betti_mod.DEFAULT_HOCHSTER_MAX_N
-    dual_cx = independence_complex(M).alexander_dual()
-    return betti_fine_hochster(dual_cx, field=args.field, max_n=hochster_cap)
+def _table_for(M: Matroid, alexander: bool) -> BettiTable:
+    return betti_fine_alexander(M) if alexander else betti_fine_matroid(M)
 
 
 def _require_own_table(args) -> None:
@@ -233,7 +235,7 @@ def cmd_weights(args) -> int:
 
 def cmd_betti(args) -> int:
     _, M, alexander = _resolve(args)
-    table = _table_for(M, alexander, args)
+    table = _table_for(M, alexander)
     if args.json:
         obj = table.to_json_dict() if args.fine else table.coarse_json_dict()
         print(json.dumps(obj, indent=2))
@@ -251,7 +253,7 @@ def cmd_betti(args) -> int:
 
 def cmd_diagram(args) -> int:
     _, M, alexander = _resolve(args)
-    table = _table_for(M, alexander, args)
+    table = _table_for(M, alexander)
     print(render_diagram(table))
     return EXIT_OK
 

@@ -346,7 +346,7 @@ class Matroid:
             raise ValueError("a matroid needs at least one basis")
         for b in base_masks:
             if b >> n:
-                raise ValueError(f"basis {elements(b)} is not inside the ground set of size {n}")
+                raise ValueError(f"basis {one_based(b)} is not inside the ground set of size {n}")
         sizes = {b.bit_count() for b in base_masks}
         if len(sizes) != 1:
             raise ValueError(f"bases are not equicardinal: sizes {sorted(sizes)}")
@@ -368,7 +368,7 @@ class Matroid:
             if c == 0:
                 raise ValueError("the empty set cannot be a circuit")
             if c >> n:
-                raise ValueError(f"circuit {elements(c)} is not inside the ground set of size {n}")
+                raise ValueError(f"circuit {one_based(c)} is not inside the ground set of size {n}")
         # S holds a circuit C exactly when E - S lies inside E - C.
         dependent = downward_closure(n, (((1 << n) - 1) ^ c for c in circ_masks))[::-1]
         minimal = each_element(dependent, lambda _, smaller: ~smaller)

@@ -12,7 +12,12 @@ from math import comb
 
 import pytest
 
-from ghw.betti import betti_fine_hochster, betti_fine_matroid, render_diagram
+from ghw.betti import (
+    betti_fine_alexander,
+    betti_fine_hochster,
+    betti_fine_matroid,
+    render_diagram,
+)
 from ghw.finfield import FieldMatrix, PrimeField
 from ghw.matroid import Matroid, nonredundancy_degree
 from ghw.simplicial import h_vector, independence_complex
@@ -61,6 +66,7 @@ def test_criterion_2_alexander_dual(m1):
         assert set(dual_cx.facets) == pset(ALEXANDER_FACETS_M1)
         table = betti_fine_hochster(dual_cx, 2)
         assert diagram_rows(render_diagram(table)) == ["2 | 13 25 17 4"]
+        assert betti_fine_alexander(m1) == table
         w = whitney_polynomial(m1)
         assert w == WHITNEY_M1
         x_part = {ex: c for (ex, ey), c in w.items() if ey == 0}

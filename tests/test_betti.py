@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from ghw.betti import (
     BettiTable,
+    betti_fine_alexander,
     betti_fine_hochster,
     betti_fine_matroid,
     render_diagram,
@@ -67,7 +68,26 @@ def test_hochster_alexander_duals(m1, m2, m3, m8, m9):
     ]
     for M, graded in expectations:
         dual_cx = independence_complex(M).alexander_dual()
-        assert betti_fine_hochster(dual_cx, 2).graded() == graded
+        table = betti_fine_hochster(dual_cx, 2)
+        assert table.graded() == graded
+        assert betti_fine_alexander(M) == table
+
+
+def test_alexander_closed_form_edge_cases():
+    def hochster(M):
+        return betti_fine_hochster(independence_complex(M).alexander_dual(), 2)
+
+    # U(0, 3): every element a loop, so the dual is the boundary of a triangle.
+    loops = Matroid.uniform(0, 3)
+    assert betti_fine_alexander(loops).fine == {(0, 0): 1, (1, 0b111): 1} == hochster(loops).fine
+    # A free matroid has a void Alexander dual: no entries, not even beta_0.
+    for free in (Matroid.uniform(4, 4), Matroid.uniform(0, 0)):
+        assert betti_fine_alexander(free).fine == {} == hochster(free).fine
+    # U(n-1, n) has the dual {emptyset}, resolved by the Koszul complex.
+    for n in range(1, 6):
+        M = Matroid.uniform(n - 1, n)
+        koszul = {(mask.bit_count(), mask): 1 for mask in range(1 << n)}
+        assert betti_fine_alexander(M).fine == koszul == hochster(M).fine
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -277,6 +278,24 @@ def test_cap_exceeded(tmp_path, capsys):
     code, _, err = run(capsys, "weights", str(big))
     assert code == 3
     assert "cap" in err
+
+
+@pytest.mark.parametrize("r", [1, 5, 10, 15])
+def test_alexander_betti_above_hochster_cap(r, capsys, monkeypatch):
+    # U(r, n)'s Alexander dual is the (d-1)-skeleton of the simplex, d = n - r,
+    # whose ideal is squarefree Veronese with a linear resolution.
+    n, d = 16, 16 - r
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"uniform": [r, n]})))
+    code, out, _ = run(capsys, "betti", "-", "--json", "--complex", "alexander")
+    assert code == 0
+    veronese = [[i, d + i - 1, comb(n, d + i - 1) * comb(d + i - 2, d - 1)] for i in range(1, r + 2)]
+    assert json.loads(out)["graded"] == [[0, 0, 1]] + veronese
+
+
+def test_alexander_betti_keeps_matroid_cap(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"uniform": [2, 21]}'))
+    code, out, err = run(capsys, "betti", "-", "--json", "--complex", "alexander")
+    assert code == 3 and out == "" and "cap" in err
 
 
 def test_cap_raised_holds_through_dual(capsys, monkeypatch):

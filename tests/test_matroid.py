@@ -135,6 +135,11 @@ def test_from_bases_empty():
         Matroid.from_bases(3, [])
 
 
+def test_from_bases_range_error_names_one_based_elements():
+    with pytest.raises(ValueError, match=r"basis \{1,4\} is not inside the ground set of size 3"):
+        Matroid.from_bases(3, [[0, 3]])
+
+
 def test_from_bases_b8_weights():
     from ghw.weights import weights_bruteforce
 
@@ -154,6 +159,11 @@ def test_from_circuits_validation():
         Matroid.from_circuits(3, [[]])
     with pytest.raises(ValueError, match="elimination"):
         Matroid.from_circuits(3, [[0, 1], [1, 2]])
+
+
+def test_from_circuits_range_error_names_one_based_elements():
+    with pytest.raises(ValueError, match=r"circuit \{2,4\} is not inside the ground set of size 3"):
+        Matroid.from_circuits(3, [[1, 3]])
 
 
 def _exchange_holds(bases):

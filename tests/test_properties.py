@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from ghw.betti import betti_fine_hochster, betti_fine_matroid
+from ghw.betti import betti_fine_alexander, betti_fine_hochster, betti_fine_matroid
 from ghw.finfield import FieldMatrix, PrimeField, matrix_rank
 from ghw.matroid import (
     WORD_TABLE_MAX,
@@ -157,6 +157,15 @@ def test_fast_path_matches_hochster_all_fields(M):
     cx = independence_complex(M)
     for p in (2, 3, 5):
         assert betti_fine_hochster(cx, p) == fast
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrix_matroids(max_n=8))
+def test_alexander_closed_form_matches_hochster_all_fields(M):
+    for N in (M, M.dual()):
+        tables = betti_fine_hochster(independence_complex(N).alexander_dual(), (2, 3, 5))
+        fast = betti_fine_alexander(N)
+        assert all(fast == table for table in tables.values())
 
 
 @settings(max_examples=40, deadline=None)
