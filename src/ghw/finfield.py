@@ -11,6 +11,12 @@ basis of the row space, whose words a matrix matroid's rank table counts
 (``ghw.matroid``).  Started from a given echelon basis, it also tells
 whether one more column raises the rank: the test the rank-table search
 makes at each node when the row space has too many words to count.
+
+Most columns it gets take a free pivot: no stored column has their largest
+row.  Such a column is stored as it comes when its coefficient there is
+already 1, as every boundary column's is, and only a column that has to be
+reduced is copied.  Stored columns are therefore shared with the caller's
+input, and nothing ever writes to them.
 """
 
 from __future__ import annotations
@@ -136,7 +142,14 @@ def column_rank(
 
     A column's pivot is its largest row.  Each column is cleared against the
     stored column with its pivot until it gets a free pivot or vanishes; the
-    number of stored columns is the rank.  The input columns are not changed.
+    number of stored columns is the rank.
+
+    A column whose pivot is free as given is stored without a copy when its
+    coefficient there is 1, and as a scaled copy otherwise; only a column
+    that has to be reduced is copied first.  A stored column may thus be an
+    input column, and the rule that keeps this safe is that nothing writes
+    to a stored column: the kernel reads them only, and so do the callers
+    that read ``pivots`` back.  The input columns are not changed.
 
     ``pivots``, if given, is an echelon basis to start from: pivot row ->
     stored column scaled to 1 at that row, its largest row.  The columns are
@@ -147,24 +160,27 @@ def column_rank(
         pivots = {}
     start = len(pivots)
     for col in columns:
-        col = dict(col)
-        while col:
-            low = max(col)
-            other = pivots.get(low)
-            if other is None:
-                scale = pow(col[low], p - 2, p)
-                if scale != 1:
-                    for r in col:
-                        col[r] = col[r] * scale % p
-                pivots[low] = col
-                break
-            f = col[low]
-            for r, v in other.items():
-                x = (col.get(r, 0) - f * v) % p
-                if x:
-                    col[r] = x
-                else:
-                    del col[r]
+        low = max(col) if col else None
+        other = pivots.get(low)
+        if other is not None:
+            col = dict(col)  # only a column that is reduced is copied
+            while other is not None:
+                f = col[low]
+                for r, v in other.items():
+                    x = (col.get(r, 0) - f * v) % p
+                    if x:
+                        col[r] = x
+                    else:
+                        del col[r]
+                low = max(col) if col else None
+                other = pivots.get(low)
+        if low is None:  # the column was empty or vanished
+            continue
+        f = col[low]
+        if f != 1:
+            scale = pow(f, p - 2, p)
+            col = {r: v * scale % p for r, v in col.items()}
+        pivots[low] = col
     return len(pivots) - start
 
 

@@ -497,13 +497,13 @@ class Matroid:
 
 def _validate_circuit(M: Matroid, mask: int) -> None:
     if M.nullity(mask) != 1:
-        raise ValueError(f"{elements(mask)} is not a circuit (nullity != 1)")
+        raise ValueError(f"{one_based(mask)} is not a circuit (nullity != 1)")
     m = mask
     while m:
         b = m & -m
         m ^= b
         if not M.is_independent(mask ^ b):
-            raise ValueError(f"{elements(mask)} is not a circuit (a proper subset is dependent)")
+            raise ValueError(f"{one_based(mask)} is not a circuit (a proper subset is dependent)")
 
 
 def is_nonredundant(M: Matroid, circuits: Sequence[int]) -> bool:

@@ -11,7 +11,13 @@ from ghw.betti import (
     render_diagram,
 )
 from ghw.matroid import CapExceeded, Matroid
-from ghw.simplicial import SimplicialComplex, independence_complex
+from ghw.simplicial import (
+    BoundaryMaps,
+    SimplicialComplex,
+    faces_by_cardinality,
+    homology_from_buckets,
+    independence_complex,
+)
 
 from workeddata import (
     CIRCUITS_M1,
@@ -149,6 +155,42 @@ def test_hochster_one_sweep_random_complexes(case):
     n, facets = case
     swept = betti_fine_hochster(SimplicialComplex(n, facets), SWEEP_FIELDS)
     assert swept == _single_field_tables(n, facets)
+
+
+def _hochster_one_mask_at_a_time(cx):
+    # Reference: every mask's restriction reduced on its own, in one field.
+    tables = {}
+    for p in SWEEP_FIELDS:
+        maps = BoundaryMaps(cx, p)
+        fine = {}
+        for mask in range(1 << cx.n):
+            dims = homology_from_buckets(faces_by_cardinality(cx, mask), maps)
+            for degree, value in dims.items():
+                fine[(mask.bit_count() - degree - 1, mask)] = value
+        tables[p] = BettiTable(cx.n, fine)
+    return tables
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 7).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    )
+)
+def test_hochster_pair_sweep_equals_one_mask_at_a_time(case):
+    n, facets = case
+    cx = SimplicialComplex(n, facets)
+    assert betti_fine_hochster(cx, SWEEP_FIELDS) == _hochster_one_mask_at_a_time(cx)
+
+
+def test_hochster_pair_sweep_edge_cases(m1):
+    # n = 0 has no top element; n = 1 pairs {} with {1}; a void complex has
+    # no faces and an empty table.
+    cases = [(0, [0]), (0, []), (1, [0]), (1, [1]), (1, []), (4, []), (7, pset(TORUS_FACETS))]
+    for cx in [SimplicialComplex(n, facets) for n, facets in cases] + [independence_complex(m1)]:
+        assert betti_fine_hochster(cx, SWEEP_FIELDS) == _hochster_one_mask_at_a_time(cx)
+    assert betti_fine_hochster(SimplicialComplex(0, [0]), 2).fine == {(0, 0): 1}
+    assert betti_fine_hochster(SimplicialComplex(4, []), 2).fine == {}
 
 
 def test_hochster_single_variable_ideal():

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -175,4 +176,34 @@ def test_column_rank_extends_given_pivots(p, data):
     added_second = column_rank(second, p, pivots)
     assert added_first + added_second == column_rank(first + second, p) == len(pivots)
     assert column_rank(second, p, basis) == added_second
+    assert first + second == before
+
+
+@given(st.sampled_from([3, 5, 7, 11]), st.data())
+def test_column_rank_never_writes_inputs_or_stored_pivots(p, data):
+    # Columns whose largest-row coefficient is not 1 are stored as scaled
+    # copies, columns already at 1 may be stored as they come: either way
+    # nothing writes to an input column or to a column once stored.
+    def columns():
+        cols = data.draw(
+            st.lists(
+                st.dictionaries(st.integers(0, 7), st.integers(1, p - 1), min_size=1, max_size=8),
+                max_size=6,
+            )
+        )
+        for col in cols:
+            col[max(col)] = data.draw(st.integers(2, p - 1))
+        return cols
+
+    first, second = columns(), columns()
+    before = copy.deepcopy(first + second)
+    pivots = {}
+    for col in first:  # one call per column: a bad stored pivot shows before it is used
+        column_rank([col], p, pivots)
+        assert all(max(c) == row and c[row] == 1 for row, c in pivots.items())
+    stored = copy.deepcopy(pivots)
+    column_rank(second, p, pivots)
+    assert all(max(c) == row and c[row] == 1 for row, c in pivots.items())
+    assert {row: pivots[row] for row in stored} == stored
+    assert column_rank(first + second, p) == len(pivots)
     assert first + second == before

@@ -327,6 +327,11 @@ def test_is_nonredundant_examples(m1):
     assert not is_nonredundant(m1, [pm(1, 6), pm(1, 4, 5), pm(4, 5, 6)])
 
 
+def test_circuit_errors_name_one_based_elements(m1):
+    with pytest.raises(ValueError, match=r"^\{1,2,6\} is not a circuit \(a proper subset"):
+        is_nonredundant(m1, [pm(1, 2, 6)])
+
+
 def test_is_nonredundant_rejects_non_circuits(m1):
     with pytest.raises(ValueError, match="not a circuit"):
         is_nonredundant(m1, [pm(1, 2)])

@@ -74,6 +74,11 @@ def test_face_indicator_matches_facet_list_reference(case):
     assert (restricted == cx) == (restricted.f_vector() == cx.f_vector())
 
 
+def test_facet_range_error_names_one_based_elements():
+    with pytest.raises(ValueError, match=r"facet \{1,4\} is not inside the ground set of size 3"):
+        SimplicialComplex(3, [0b1001])
+
+
 def test_facets_are_maximalized():
     cx = SimplicialComplex(3, [0b011, 0b001, 0b110])
     assert cx.facets == (0b011, 0b110)
@@ -267,10 +272,45 @@ def test_clearing_matches_full_ranks(case, p):
         assert alt == reduced_euler_char(cx.restrict(sigma))
 
 
+def _assert_pairs_match_reference(cx):
+    # Every sigma without the top element: one reduction on sigma + top gives
+    # the homology of both restrictions, each equal to ranking its own maps
+    # in full, over every field.
+    top = 1 << (cx.n - 1)
+    maps = [BoundaryMaps(cx, p) for p in (2, 3, 5)]
+    for sigma in range(top):
+        with_top = faces_by_cardinality(cx, sigma | top)
+        without_top = faces_by_cardinality(cx, sigma)
+        for field_maps in maps:
+            assert homology_from_buckets(with_top, field_maps, top) == (
+                _homology_without_clearing(with_top, field_maps.p),
+                _homology_without_clearing(without_top, field_maps.p),
+            )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    )
+)
+def test_pair_reduction_matches_full_ranks(case):
+    n, facets = case
+    _assert_pairs_match_reference(SimplicialComplex(n, facets))
+
+
+def test_pair_reduction_on_examples(m1):
+    m1_cx = independence_complex(m1)
+    for cx in (RP2, TORUS, m1_cx, m1_cx.alexander_dual()):
+        _assert_pairs_match_reference(cx)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_clearing_skips_paired_faces(p, m1, monkeypatch):
     # The map on card-c faces is ranked only on the faces that the map on
-    # card-(c+1) faces left without a pivot, largest faces first.
+    # card-(c+1) faces left without a pivot, largest faces first.  Each map
+    # is ranked in two calls, the faces below the cut and then the rest, so
+    # the columns are counted per cardinality, with and without a top split.
     ranked = []
 
     def recording(columns, p, pivots=None):
@@ -278,19 +318,25 @@ def test_clearing_skips_paired_faces(p, m1, monkeypatch):
         ranked.append(len(columns))
         return column_rank(columns, p, pivots)
 
+    def per_cardinality():
+        return [a + b for a, b in zip(ranked[::2], ranked[1::2])]
+
     monkeypatch.setattr(simplicial, "column_rank", recording)
     m1_cx = independence_complex(m1)
     for cx in (RP2, TORUS, m1_cx, m1_cx.alexander_dual()):
         buckets = faces_by_cardinality(cx, (1 << cx.n) - 1)
         ranks = _full_ranks(buckets, p)
         maps = BoundaryMaps(cx, p)
-        ranked.clear()
-        homology_from_buckets(buckets, maps)
-        assert ranked == [len(buckets[c]) - ranks[c + 1] for c in range(len(buckets) - 1, 0, -1)]
+        expected = [len(buckets[c]) - ranks[c + 1] for c in range(len(buckets) - 1, 0, -1)]
+        for top in (None, 1 << (cx.n - 1)):
+            ranked.clear()
+            homology_from_buckets(buckets, maps, top)
+            assert len(ranked) == 2 * len(expected)
+            assert per_cardinality() == expected
     # The full simplex is acyclic: every column kept becomes a pivot.
     ranked.clear()
     reduced_homology(SimplicialComplex(6, [(1 << 6) - 1]), p)
-    assert ranked == [comb(5, c - 1) for c in range(6, 0, -1)]
+    assert per_cardinality() == [comb(5, c - 1) for c in range(6, 0, -1)]
 
 
 @settings(max_examples=200, deadline=None)
