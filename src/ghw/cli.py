@@ -187,9 +187,9 @@ def build_matroid(spec: InputSpec, max_n: int) -> Matroid:
     return Matroid.uniform(r, n, max_n=max_n)
 
 
-def _resolve(args) -> tuple[Matroid, Matroid, bool]:
-    """Base matroid, the matroid the command acts on, and whether the
-    requested complex is an Alexander dual."""
+def _resolve(args) -> tuple[Matroid, bool]:
+    """The matroid the command acts on, and whether the requested complex
+    is an Alexander dual."""
     if args.max_n is not None and args.max_n < 0:
         raise InputError(f"--max-n must be >= 0, got {args.max_n}")
     try:
@@ -203,9 +203,10 @@ def _resolve(args) -> tuple[Matroid, Matroid, bool]:
             f" {sweep_cost(args.max_n)}",
             file=sys.stderr,
         )
-    base = build_matroid(load_input(args.input), max_n)
-    M = base.dual() if args.complex in ("dual", "dual-alexander") else base
-    return base, M, args.complex in ("alexander", "dual-alexander")
+    M = build_matroid(load_input(args.input), max_n)
+    if args.complex in ("dual", "dual-alexander"):
+        M = M.dual()
+    return M, args.complex in ("alexander", "dual-alexander")
 
 
 def _table_for(M: Matroid, alexander: bool) -> BettiTable:
@@ -222,7 +223,7 @@ def _require_own_table(args) -> None:
 
 def cmd_weights(args) -> int:
     _require_own_table(args)
-    _, M, _ = _resolve(args)
+    M, _ = _resolve(args)
     table = betti_fine_matroid(M)
     if args.json:
         report = weight_report(M, table)
@@ -234,7 +235,7 @@ def cmd_weights(args) -> int:
 
 
 def cmd_betti(args) -> int:
-    _, M, alexander = _resolve(args)
+    M, alexander = _resolve(args)
     table = _table_for(M, alexander)
     if args.json:
         obj = table.to_json_dict() if args.fine else table.coarse_json_dict()
@@ -252,7 +253,7 @@ def cmd_betti(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    _, M, alexander = _resolve(args)
+    M, alexander = _resolve(args)
     table = _table_for(M, alexander)
     print(render_diagram(table))
     return EXIT_OK
@@ -260,7 +261,7 @@ def cmd_diagram(args) -> int:
 
 def cmd_whitney(args) -> int:
     _require_own_table(args)
-    _, M, _ = _resolve(args)
+    M, _ = _resolve(args)
     coeffs = whitney_polynomial(M)
     if args.json:
         print(json.dumps({"whitney": whitney_terms(coeffs)}, indent=2))
@@ -271,7 +272,7 @@ def cmd_whitney(args) -> int:
 
 def cmd_mds(args) -> int:
     _require_own_table(args)
-    _, M, _ = _resolve(args)
+    M, _ = _resolve(args)
     profile = mds_profile(M, betti_fine_matroid(M))
     if args.json:
         obj = asdict(profile)
@@ -313,7 +314,7 @@ def verify_matroid(M: Matroid, hochster_cap: int) -> list[tuple[str, bool | None
 
 def cmd_verify(args) -> int:
     _require_own_table(args)
-    _, M, _ = _resolve(args)
+    M, _ = _resolve(args)
     hochster_cap = args.max_n if args.max_n is not None else betti_mod.DEFAULT_HOCHSTER_MAX_N
     failed = False
     for name, status in verify_matroid(M, hochster_cap):

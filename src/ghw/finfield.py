@@ -5,10 +5,10 @@ integer arithmetic, so no lookup tables and no floating point anywhere.
 Every rank in ghw comes from ``column_rank``: sparse column reduction with
 exact modular inverses.  It ranks the boundary maps behind the Hochster
 homology oracle (``ghw.simplicial``) and the column submatrices behind
-``matrix_rank``, the per-subset rank check of a matrix matroid.  Given a
-matrix's rows as sparse vectors keyed by column, it returns an echelon
-basis of the row space, whose words a matrix matroid's rank table counts
-(``ghw.matroid``).  Started from a given echelon basis, it also tells
+``matrix_rank``, the per-subset rank oracle the checks compare a matrix
+matroid's rank table with.  Given a matrix's rows as sparse vectors keyed
+by column, it returns an echelon basis of the row space, whose words a
+matrix matroid's rank table counts (``ghw.matroid``).  Started from a given echelon basis, it also tells
 whether one more column raises the rank: the test the rank-table search
 makes at each node when the row space has too many words to count.
 
@@ -155,6 +155,8 @@ def column_rank(
     stored column scaled to 1 at that row, its largest row.  The columns are
     reduced against it, it is extended in place, and the number of pivots
     added is returned, so the result is the rank the columns add to it.
+    A stored column that fails to lower a column's largest row raises
+    ValueError instead of reducing forever.
     """
     if pivots is None:
         pivots = {}
@@ -172,8 +174,13 @@ def column_rank(
                         col[r] = x
                     else:
                         del col[r]
-                low = max(col) if col else None
-                other = pivots.get(low)
+                top = max(col) if col else None
+                if top is not None and top >= low:
+                    raise ValueError(
+                        f"the stored column at pivot row {low} is not 1 there,"
+                        f" or has a larger row: it does not reduce the column"
+                    )
+                low, other = top, pivots.get(top)
         if low is None:  # the column was empty or vanished
             continue
         f = col[low]

@@ -7,9 +7,9 @@ whose row space has at most WORD_TABLE_MAX words builds it from those
 words: the words vanishing on a subset S number p^(k - r(S)), so one
 histogram of zero sets, one superset-sum and a count of powers of p give
 every rank at once (``_word_table``).  A matrix matroid above that bound
-builds it by a depth-first search over the independent sets (``_search``),
-each node carrying the echelon basis of its set's columns, so testing one
-more element reduces that one column (``finfield.column_rank``).  Bases,
+builds it by a depth-first search over the independent sets, each node
+carrying the echelon basis of its set's columns, so testing one more
+element reduces that one column (``_echelon_search_table``).  Bases,
 circuits and uniform matroids are built table first: their independence
 indicator over the 2^n subsets is a bit sweep over the given sets, their
 axioms are one purity check on it (``impure_restriction``), and the table
@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .finfield import FieldMatrix, column_rank, matrix_rank
+from .finfield import FieldMatrix, column_rank
 
 DEFAULT_MAX_GROUND = 20
 
@@ -169,42 +169,31 @@ WORD_TABLE_MAX = 1 << 22
 _HEAD_WORDS = 1 << 12
 
 
-def _search(n: int, root, extend) -> np.ndarray:
-    """Rank table from a depth-first search over the independent sets.
+def _echelon_search_table(H: FieldMatrix) -> np.ndarray:
+    """Rank table of H's column matroid from a depth-first search over the
+    independent sets.
 
     The search tests only whether I + x is independent, for x above max(I),
     and so reaches each independent set once from its parent I - max(I).
-    Each node carries a state for that test: extend(state of I, I + x, x)
-    gives the state of I + x, or None when I + x is dependent.  A
-    subset-max transform then gives every subset S its rank, the largest |I|
-    over independent I inside S.
+    Each node carries the echelon basis of its set's columns, so I + x is
+    independent iff column x adds a pivot to that basis.  A subset-max
+    transform then gives every subset S its rank, the largest |I| over
+    independent I inside S.
     """
+    n, columns, p = H.cols, H.columns, H.field.p
     found = bytearray(1 << n)  # |I| at each independent I, 0 elsewhere
-    # (independent set, smallest element that may extend it, its state)
-    stack = [(0, 0, root)]
+    # (independent set, smallest element that may extend it, its echelon basis)
+    stack = [(0, 0, {})]
     while stack:
-        indep, start, state = stack.pop()
+        indep, start, pivots = stack.pop()
         size = found[indep] + 1
         for x in range(start, n):
-            cand = indep | 1 << x
-            child = extend(state, cand, x)
-            if child is not None:
+            child = dict(pivots)
+            if column_rank((columns[x],), p, child):
+                cand = indep | 1 << x
                 found[cand] = size
                 stack.append((cand, x + 1, child))
     return subset_max(np.frombuffer(found, dtype=np.int8))
-
-
-def _echelon_search_table(H: FieldMatrix) -> np.ndarray:
-    """Rank table of H's column matroid by ``_search``, each node carrying
-    the echelon basis of its set's columns: I + x is independent iff column
-    x adds a pivot to that basis."""
-    columns, p = H.columns, H.field.p
-
-    def extend(pivots, _cand, x):
-        child = dict(pivots)
-        return child if column_rank((columns[x],), p, child) else None
-
-    return _search(H.cols, {}, extend)
 
 
 def _span(rows: np.ndarray, p: int) -> np.ndarray:
@@ -300,14 +289,12 @@ class Matroid:
         self,
         n: int,
         rank_fn: Callable[[int], int] | None,
-        provenance: str = "oracle",
         max_n: int = DEFAULT_MAX_GROUND,
     ):
         if n < 0:
             raise ValueError("ground set size must be >= 0")
         check_cap(n, max_n)
         self.n = n
-        self.provenance = provenance
         self.max_n = max_n
         self._rank_fn = rank_fn
         # Builds the rank table; None asks rank_fn for every subset.
@@ -322,14 +309,11 @@ class Matroid:
     def from_matrix(cls, H: FieldMatrix, max_n: int = DEFAULT_MAX_GROUND) -> "Matroid":
         """Column matroid of a matrix over GF(p): rank(sigma) = rank of those columns."""
 
-        def rank_fn(mask: int) -> int:
-            return matrix_rank(H, elements(mask))
-
         def build() -> np.ndarray:
             table = _word_table(H)
             return _echelon_search_table(H) if table is None else table
 
-        M = cls(H.cols, rank_fn, provenance="matrix", max_n=max_n)
+        M = cls(H.cols, None, max_n)
         M.matrix = H
         M._build = build
         return M
@@ -352,7 +336,7 @@ class Matroid:
             raise ValueError(f"bases are not equicardinal: sizes {sorted(sizes)}")
         independent = downward_closure(n, base_masks)
         _require_pure(independent, "basis exchange axiom")
-        return cls._of_table(n, subset_max(popcounts(n) * independent), "bases", max_n)
+        return cls._of_table(n, subset_max(popcounts(n) * independent), max_n)
 
     @classmethod
     def from_circuits(
@@ -380,7 +364,7 @@ class Matroid:
                 )
         independent = ~dependent
         _require_pure(independent, "circuit elimination axiom")
-        return cls._of_table(n, subset_max(popcounts(n) * independent), "circuits", max_n)
+        return cls._of_table(n, subset_max(popcounts(n) * independent), max_n)
 
     @classmethod
     def uniform(cls, r: int, n: int, max_n: int = DEFAULT_MAX_GROUND) -> "Matroid":
@@ -388,19 +372,15 @@ class Matroid:
         if not 0 <= r <= n:
             raise ValueError(f"uniform matroid needs 0 <= r <= n, got r={r}, n={n}")
         check_cap(n, max_n)
-        return cls._of_table(n, np.minimum(popcounts(n), r), "uniform", max_n)
+        return cls._of_table(n, np.minimum(popcounts(n), r), max_n)
 
     @classmethod
-    def _of_table(cls, n: int, table: np.ndarray, provenance: str, max_n: int) -> "Matroid":
+    def _of_table(cls, n: int, table: np.ndarray, max_n: int) -> "Matroid":
         """The matroid on n elements with this rank table, built at construction."""
         table.setflags(write=False)
-        M = cls(n, None, provenance, max_n)
+        M = cls(n, None, max_n)
         M._table = table
         return M
-
-    def _derived(self, n: int, table: np.ndarray, provenance: str) -> "Matroid":
-        """The matroid on n elements with this rank table, under this one's cap."""
-        return self._of_table(n, table, provenance, self.max_n)
 
     # -- the rank table --------------------------------------------------
 
@@ -478,7 +458,7 @@ class Matroid:
         rank*(S) = |S| + rank(E - S) - rank(E)."""
         table = self.rank_table()
         dual = popcounts(self.n) + table[::-1] - table[-1]
-        return self._derived(self.n, dual, f"dual-of-{self.provenance}")
+        return self._of_table(self.n, dual, self.max_n)
 
     def restrict(self, mask: int) -> "Matroid":
         """Restriction to ``mask``, reindexed onto {0..|mask|-1}."""
@@ -489,7 +469,7 @@ class Matroid:
         for j, e in enumerate(elems):
             parent_mask[1 << j : 2 << j] = parent_mask[: 1 << j] | (1 << e)
         table = self.rank_table()[parent_mask]
-        return self._derived(len(elems), table, f"restriction-of-{self.provenance}")
+        return self._of_table(len(elems), table, self.max_n)
 
 
 # -- non-redundant circuit calculus -------------------------------------
@@ -506,19 +486,21 @@ def _validate_circuit(M: Matroid, mask: int) -> None:
             raise ValueError(f"{one_based(mask)} is not a circuit (a proper subset is dependent)")
 
 
+def _private_parts(family: Sequence[int]) -> list[int]:
+    """Per member, the elements of it that no other member holds."""
+    seen = shared = 0  # elements in at least one / at least two members
+    for c in family:
+        shared |= seen & c
+        seen |= c
+    return [c & ~shared for c in family]
+
+
 def is_nonredundant(M: Matroid, circuits: Sequence[int]) -> bool:
     """Does every given circuit own an element private to it within the family?"""
     circs = list(circuits)
     for c in circs:
         _validate_circuit(M, c)
-    for i, c in enumerate(circs):
-        others = 0
-        for j, d in enumerate(circs):
-            if j != i:
-                others |= d
-        if c & ~others == 0:
-            return False
-    return True
+    return all(_private_parts(circs))
 
 
 def circuit_within(M: Matroid, mask: int) -> int | None:
@@ -555,12 +537,7 @@ def nonredundant_witness(M: Matroid, sigma: int) -> tuple[int, ...]:
     if len(fam) != d - 1:
         raise AssertionError("peeling a circuit element must drop the nullity by exactly 1")
     markers = 0
-    for i, c in enumerate(fam):
-        others = 0
-        for j, e in enumerate(fam):
-            if j != i:
-                others |= e
-        priv = c & ~others
+    for priv in _private_parts(fam):
         markers |= priv & -priv
     cands = [c for c in M.circuits() if c & ~sigma == 0 and c & xbit]
     best = min(cands, key=lambda c: ((c & markers).bit_count(), c))

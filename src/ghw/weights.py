@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .betti import BettiTable
-from .matroid import Matroid, elements, popcounts
-from .simplicial import independence_complex
+from .matroid import Matroid, elements, impure_restriction, popcounts
 
 
 def weights_from_betti(table: BettiTable, k: int) -> tuple[int, ...]:
@@ -86,6 +85,22 @@ class MdsProfile:
     alexander_dual_is_matroid: bool | None  # evaluated only for MDS candidates
 
 
+def mds_level(weights: tuple[int, ...], rank: int) -> int | None:
+    """The smallest h with d_h = rank + h (Singleton's bound met), or None."""
+    return next((h for h, d in enumerate(weights, start=1) if d == rank + h), None)
+
+
+def alexander_dual_is_matroid(M: Matroid) -> bool:
+    """Is the Alexander dual of M's independence complex a matroid complex?
+
+    Its faces are the complements of M's dependent sets, so its indicator
+    is the dependent-set indicator reversed, and the check is one purity
+    test on it.  With no dependent set it is the void complex: not one.
+    """
+    dependent = M.rank_table() != popcounts(M.n)
+    return bool(dependent[-1]) and impure_restriction(dependent[::-1]) is None
+
+
 def mds_profile(M: Matroid, table: BettiTable) -> MdsProfile:
     """Profile h-MDS-ness of the matroid from its own Betti table.
 
@@ -97,11 +112,7 @@ def mds_profile(M: Matroid, table: BettiTable) -> MdsProfile:
     r = M.rank(M.full)
     k = M.n - r
     ws = weights_from_betti(table, k)
-    level = None
-    for h in range(1, k + 1):
-        if ws[h - 1] == r + h:
-            level = h
-            break
+    level = mds_level(ws, r)
     rows = {d - i for (i, d) in table.graded() if i >= 1}
     linear = len(rows) <= 1
     if level is None:
@@ -114,7 +125,7 @@ def mds_profile(M: Matroid, table: BettiTable) -> MdsProfile:
     isthmus_free = isthmus_mask == 0
     dual_check = None
     if linear and isthmus_free and k >= 1:
-        dual_check = independence_complex(M).alexander_dual().is_matroid_complex()
+        dual_check = alexander_dual_is_matroid(M)
     return MdsProfile(
         k=k,
         rank=r,
@@ -210,14 +221,13 @@ def weight_report(M: Matroid, table: BettiTable) -> WeightReport:
     k = M.n - r
     ws = weights_from_betti(table, k)
     gon, cliff = clifford_and_gonality(M, ws)
-    profile = mds_profile(M, table)
     return WeightReport(
         n=M.n,
         k=k,
         weights=ws,
         support=support_size(M),
-        mds_level=profile.mds_level,
-        degenerate=not profile.isthmus_free,
+        mds_level=mds_level(ws, r),
+        degenerate=M.isthmuses() != 0,
         whitney=whitney_polynomial(M),
         clifford=cliff,
         gonality=gon,

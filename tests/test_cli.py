@@ -13,6 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 import ghw.cli as cli
 from ghw.betti import betti_fine_matroid
+from ghw.matroid import Matroid
+from ghw.simplicial import SimplicialComplex
+from ghw.weights import weight_report
 from workeddata import DATA, diagram_rows
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -112,6 +115,23 @@ def test_mds_output(capsys):
     assert code == 0
     assert "is mds: yes" in out
     assert "alexander dual is a matroid: yes" in out
+
+
+def test_weights_and_mds_build_no_complex(capsys, monkeypatch):
+    # The fast path and the MDS profile read the rank table only; a
+    # SimplicialComplex is the Hochster oracle's, and verify's.
+    def refuse(self, face):
+        raise AssertionError("built a SimplicialComplex")
+
+    monkeypatch.setattr(SimplicialComplex, "_adopt", refuse)
+    M = Matroid.uniform(3, 6)
+    assert weight_report(M, betti_fine_matroid(M)).mds_level == 1
+    code, out, _ = run(capsys, "mds", str(DATA / "u_3_6.json"))
+    assert code == 0
+    assert "alexander dual is a matroid: yes" in out
+    code, out, _ = run(capsys, "weights", str(DATA / "u_3_6.json"), "--json")
+    assert code == 0
+    assert json.loads(out)["mds_level"] == 1
 
 
 def test_mds_degenerate(capsys):

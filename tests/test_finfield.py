@@ -1,10 +1,15 @@
 import copy
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import ghw
 from ghw.finfield import FieldMatrix, PrimeField, column_rank, is_prime, matrix_rank
 
 
@@ -207,3 +212,25 @@ def test_column_rank_never_writes_inputs_or_stored_pivots(p, data):
     assert {row: pivots[row] for row in stored} == stored
     assert column_rank(first + second, p) == len(pivots)
     assert first + second == before
+
+
+def test_column_rank_refuses_stored_pivots_that_do_not_reduce():
+    # {0: 1, 1: 2} is 2, not 1, at its largest row, so clearing row 1 against
+    # it leaves row 1 nonzero; {1: 1, 3: 1} has a row above its pivot row.
+    # Run in a child process under a timeout, so that a kernel that keeps
+    # reducing fails this test instead of hanging the suite.
+    script = (
+        "from ghw.finfield import column_rank\n"
+        "for pivots in ({1: {0: 1, 1: 2}}, {1: {1: 1, 3: 1}}):\n"
+        "    try:\n"
+        "        column_rank([{1: 1}], 5, pivots)\n"
+        "    except ValueError:\n"
+        "        print('refused')\n"
+    )
+    src = str(Path(ghw.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=20
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["refused", "refused"]

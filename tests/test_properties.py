@@ -19,6 +19,7 @@ from ghw.matroid import (
 )
 from ghw.simplicial import h_vector, independence_complex
 from ghw.weights import (
+    alexander_dual_is_matroid,
     mds_profile,
     support_size,
     wei_duality_check,
@@ -166,6 +167,19 @@ def test_alexander_closed_form_matches_hochster_all_fields(M):
         tables = betti_fine_hochster(independence_complex(N).alexander_dual(), (2, 3, 5))
         fast = betti_fine_alexander(N)
         assert all(fast == table for table in tables.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrix_matroids(max_n=7))
+def test_alexander_dual_check_matches_the_complex(M):
+    # The table-only check against the dual complex built and tested as a
+    # SimplicialComplex.  mds_profile runs it only on MDS candidates, where
+    # it holds every time; the direct call also meets duals that fail it.
+    for N in (M, M.dual()):
+        expected = independence_complex(N).alexander_dual().is_matroid_complex()
+        assert alexander_dual_is_matroid(N) == expected
+        verdict = mds_profile(N, betti_fine_matroid(N)).alexander_dual_is_matroid
+        assert verdict in (None, expected)
 
 
 @settings(max_examples=40, deadline=None)
