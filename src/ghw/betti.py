@@ -16,15 +16,13 @@ Three computation paths:
   superset-sum of the rank table's independence indicator.
 * ``betti_fine_hochster`` works for any complex (Alexander duals included):
   beta_{i,sigma} is the reduced homology dimension of the induced
-  subcomplex on sigma in degree |sigma| - i - 1.  Its boundary maps are
-  built once per complex and field; each restriction selects its faces
-  once and ranks their columns over every field asked for, so the
-  GF(2)/GF(3)/GF(5) comparison of ``verify`` costs one sweep.  The sweep
-  takes the restrictions in pairs sigma, sigma + top (top the largest
-  element): one reduction of sigma + top gives both, because sigma's faces
-  come first in every bucket and clearing by the larger restriction's
-  pivots stays valid for them, so 2^n restrictions cost 2^(n-1)
-  reductions.
+  subcomplex on sigma in degree |sigma| - i - 1.  Each restriction selects
+  its faces once and ranks its coboundary maps from the smallest faces up,
+  with clearing (``ghw.simplicial``).  A map whose kept columns have
+  pairwise distinct largest rows is ranked by counting them, once for
+  every field asked for; only a map where two share a largest row builds
+  signed columns and ranks them per field.  So the GF(2)/GF(3)/GF(5)
+  comparison of ``verify`` costs one sweep.
 
 On matroid complexes and their Alexander duals the oracle agrees with the
 two fast paths entry for entry, which the test suite uses as a standing
@@ -39,12 +37,7 @@ import numpy as np
 
 from .finfield import PrimeField, as_field
 from .matroid import CapExceeded, Matroid, bit_halves, each_element, elements, popcounts
-from .simplicial import (
-    BoundaryMaps,
-    SimplicialComplex,
-    faces_by_cardinality,
-    homology_from_buckets,
-)
+from .simplicial import SimplicialComplex, faces_by_cardinality, homology_from_buckets
 
 # Full Hochster sweeps cost 2^n homology computations; refuse larger ground
 # sets unless the caller raises the cap explicitly.
@@ -196,9 +189,10 @@ def betti_fine_alexander(M: Matroid) -> BettiTable:
         return BettiTable(n, {})
     sums = _signed_independent_sums(rank, pop, supersets=True)
     taus = np.flatnonzero((rank == pop) & (sums != 0))
+    degrees = (r + 1 - pop[taus]).tolist()
+    sigmas = (M.full ^ taus).tolist()
     fine = {(0, 0): 1}
-    for tau, size, value in zip(taus.tolist(), pop[taus].tolist(), sums[taus].tolist()):
-        fine[(r - size + 1, M.full ^ tau)] = abs(value)
+    fine.update(zip(zip(degrees, sigmas), np.abs(sums[taus]).tolist()))
     return BettiTable(n, fine)
 
 
@@ -216,11 +210,9 @@ def betti_fine_hochster(
 
     ``field`` is one field, or a sequence of fields; then the result maps
     each modulus p to its table.  Every field is ranked on one sweep over
-    the restrictions: the boundary maps are built once per field on the
-    whole complex, and each restriction selects its faces once and ranks
-    the columns of those faces in every field.  Each mask sigma without the
-    top element is paired with sigma + top: one reduction on sigma + top's
-    faces gives both restrictions (``homology_from_buckets`` with ``top``).
+    the restrictions: each selects its faces once, and its coboundary maps
+    are counted once for all fields until one needs the elimination kernel,
+    and ranked per field from there (``homology_from_buckets``).
     """
     if cx.n > max_n:
         raise CapExceeded(
@@ -229,24 +221,15 @@ def betti_fine_hochster(
         )
     several = isinstance(field, (list, tuple))
     primes = [as_field(f).p for f in (field if several else (field,))]
-    maps = [BoundaryMaps(cx, p) for p in primes]
+    feasible = cx.feasible()
     fines: list[dict[tuple[int, int], int]] = [{} for _ in primes]
-
-    def record(fine, mask, dims):
-        for degree, value in dims.items():
-            fine[(mask.bit_count() - degree - 1, mask)] = value
-
-    if cx.n == 0:  # the one mask, 0, has no top element to pair with
-        buckets = faces_by_cardinality(cx, 0)
-        for fine, field_maps in zip(fines, maps):
-            record(fine, 0, homology_from_buckets(buckets, field_maps))
-    top = 1 << cx.n >> 1
-    for sigma in range(top):
-        buckets = faces_by_cardinality(cx, sigma | top)
-        for fine, field_maps in zip(fines, maps):
-            with_top, without_top = homology_from_buckets(buckets, field_maps, top)
-            record(fine, sigma | top, with_top)
-            record(fine, sigma, without_top)
+    for sigma in range(1 << cx.n):
+        buckets = faces_by_cardinality(cx, sigma)
+        size = sigma.bit_count()
+        by_field = homology_from_buckets(buckets, sigma, feasible, primes)
+        for fine, p in zip(fines, primes):
+            for degree, value in by_field[p].items():
+                fine[(size - degree - 1, sigma)] = value
     tables = {p: BettiTable(cx.n, fine) for p, fine in zip(primes, fines)}
     return tables if several else tables[primes[0]]
 

@@ -2,9 +2,10 @@
 
 Only prime moduli below 2^64 are supported; arithmetic is plain modular
 integer arithmetic, so no lookup tables and no floating point anywhere.
-Every rank in ghw comes from ``column_rank``: sparse column reduction with
-exact modular inverses.  It ranks the boundary maps behind the Hochster
-homology oracle (``ghw.simplicial``) and the column submatrices behind
+Every elimination in ghw is ``column_rank``: sparse column reduction with
+exact modular inverses.  It ranks the Hochster oracle's coboundary maps in
+which two kept columns share a largest row, so that counting them would
+not do (``ghw.simplicial``), and the column submatrices behind
 ``matrix_rank``, the per-subset rank oracle the checks compare a matrix
 matroid's rank table with.  Given a matrix's rows as sparse vectors keyed
 by column, it returns an echelon basis of the row space, whose words a
@@ -14,8 +15,8 @@ makes at each node when the row space has too many words to count.
 
 Most columns it gets take a free pivot: no stored column has their largest
 row.  Such a column is stored as it comes when its coefficient there is
-already 1, as every boundary column's is, and only a column that has to be
-reduced is copied.  Stored columns are therefore shared with the caller's
+already 1, as a scaled copy otherwise, and only a column that has to be
+reduced is copied first.  Stored columns are therefore shared with the caller's
 input, and nothing ever writes to them.
 """
 

@@ -8,40 +8,34 @@ induced subcomplexes are each a bit sweep, a ``bincount`` or an elementwise
 operation on that array.
 
 Reduced homology uses the chain complex with the incidence sign
-(-1)^(r-1) for the r-th smallest element of a face.  Boundary maps are
-built as sparse columns and ranked by ``finfield.column_rank``, the same
-GF(p) elimination kernel behind matrix ranks; dimensions are reported as a
-sparse mapping degree -> dimension (degree -1 is the empty-face slot).
+(-1)^(r-1) for the r-th smallest element of a face, and is read off the
+ranks of the coboundary maps, which equal the boundary ranks; dimensions
+are reported as a sparse mapping degree -> dimension (degree -1 is the
+empty-face slot).  A restriction to sigma selects its faces
+(``faces_by_cardinality``); the complex's ``feasible`` table gives, per
+face g, the elements that extend g to a face.
 
-The maps are built once per complex and field (``BoundaryMaps``), on all
-of the complex's faces sorted by (cardinality, bitmask).  An induced
-subcomplex selects its faces (``faces_by_cardinality``) and ranks their
-stored columns: its rows keep their order, so each column has the pivot
-it would have in the subcomplex's own map.  Only the signs depend on p, so
-the faces selected for one restriction serve every field.
-
-The maps are ranked from the largest faces down, with clearing (the
-"twist" of persistent-homology codes): a face whose row is a pivot of the
-map one dimension up gets no column in its own map.  The pivot column
-there is a boundary, hence a cycle, whose largest face is that face, so
-the face's boundary is a combination of the boundaries of smaller faces
-and cannot add to the rank.
-
-Restrictions are reduced in pairs: with top the largest element of a
-restriction, its faces without top form the restriction one element
-smaller, and they come first in every bucket.  So one top-down reduction
-ranks their columns first and then extends that basis by the rest, and
-gives both homologies; 2^n restrictions take 2^(n-1) reductions.  Clearing
-by the larger restriction's pivots stays valid for the smaller one: a
-cleared face without top is the largest face of a cycle, whose other faces
-are smaller in bitmask order, so they lack top too.
+The coboundary column of a face g has its rows at g + e for e in
+feasible[g] & sigma, so its largest row in bitmask order is g plus the
+highest such e, at coefficient +-1.  The maps are ranked from the smallest
+faces up, with clearing (Chen & Kerber's "twist", in the cohomology form
+of de Silva, Morozov & Vejdemo-Johansson): a face that is a pivot row of
+the map one dimension down gets no column.  The stored column there is a
+coboundary, hence a cocycle, whose largest face h sits at a unit
+coefficient; so the coboundary of h is a combination of the coboundaries
+of faces below h, and by induction on h it lies in the span of the columns
+kept.  When the kept columns' largest rows are pairwise distinct, the
+columns are independent, the rank is their count and the pivot rows are
+those rows: no column is built, and the answer holds in every field.  Only
+a map in which two kept columns share a largest row builds its signed
+columns for each field and ranks them with ``finfield.column_rank``; from
+there each field goes on with its own pivot rows.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from math import comb
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,12 +59,10 @@ SUBMASK_WALK_MAX = 6
 
 
 class FaceLists(NamedTuple):
-    """A complex's faces sorted by (cardinality, bitmask), in three forms."""
+    """A complex's faces sorted by (cardinality, bitmask)."""
 
-    buckets: list[list[int]]  # bucket c: the card-c faces in bitmask order
-    masks: np.ndarray  # the buckets concatenated
-    starts: list[int]  # bucket c is masks[starts[c]:starts[c + 1]]
-    position: dict[int, int]  # face -> its index in its bucket
+    masks: np.ndarray
+    starts: list[int]  # the card-c faces are masks[starts[c]:starts[c + 1]]
 
 
 def _by_size(n: int, marks: np.ndarray) -> tuple[int, ...]:
@@ -106,6 +98,7 @@ class SimplicialComplex:
         self.n = face.size.bit_length() - 1
         self._face = face
         self._face_lists: FaceLists | None = None
+        self._feasible: list[int] | None = None
 
     @property
     def facets(self) -> tuple[int, ...]:
@@ -150,11 +143,20 @@ class SimplicialComplex:
             size = popcounts(self.n)[masks]
             masks = masks[np.argsort(size, kind="stable")]
             starts = [0, *np.cumsum(np.bincount(size)).tolist()]
-            flat = masks.tolist()
-            buckets = [flat[a:b] for a, b in zip(starts, starts[1:])]
-            position = {m: i for bucket in buckets for i, m in enumerate(bucket)}
-            self._face_lists = FaceLists(buckets, masks, starts, position)
+            self._face_lists = FaceLists(masks, starts)
         return self._face_lists
+
+    def feasible(self) -> list[int]:
+        """Per mask g, the mask of the elements e outside g such that g + e is
+        a face (0 when g is no face), computed once: one sweep per element."""
+        if self._feasible is None:
+            feasible = np.zeros(self._face.size, dtype=np.int64)
+            for bit, ((_, without), (face_with, _)) in enumerate(
+                zip(bit_halves(feasible), bit_halves(self._face))
+            ):
+                without |= face_with * (1 << bit)
+            self._feasible = feasible.tolist()
+        return self._feasible
 
     def f_vector(self) -> tuple[int, ...]:
         """Face counts (f_-1, f_0, ..., f_dim); () for the void complex."""
@@ -224,7 +226,8 @@ def faces_by_cardinality(cx: SimplicialComplex, within: int) -> list[list[int]]:
 
 
 def boundary_matrix(lower: list[int], upper: list[int], p: int) -> list[dict[int, int]]:
-    """Boundary map from the span of ``upper`` faces to the span of ``lower`` faces.
+    """Boundary map from the span of ``upper`` faces to the span of ``lower`` faces,
+    the map the coboundary sweep transposes, built in full for checks.
 
     Returns sparse columns: column j maps the row of each face of upper[j]
     with one element removed to its sign, (-1)^(r-1) mod p for the r-th
@@ -245,89 +248,83 @@ def boundary_matrix(lower: list[int], upper: list[int], p: int) -> list[dict[int
     return columns
 
 
-class BoundaryMaps:
-    """Every boundary map of a complex over GF(p), built once on all its faces.
+def _largest_rows(faces: list[int], feasible: list[int], sigma: int) -> list[int]:
+    """The largest row of each nonzero coboundary column of ``faces`` in the
+    restriction to sigma: the face plus the largest element that extends it
+    inside sigma."""
+    rows = []
+    for g in faces:
+        m = feasible[g] & sigma
+        if m:
+            rows.append(g | 1 << (m.bit_length() - 1))
+    return rows
 
-    ``columns[c][j]`` is the boundary of the j-th card-c face of the complex
-    (``boundary_matrix`` over the full card-(c-1) and card-c face lists),
-    and ``position`` gives each face's place in its cardinality bucket.  A
-    restriction's faces keep their relative bitmask order among all the
-    complex's faces, so the columns of its card-c faces, with rows keyed by
-    these global positions, form its own map with the same largest row in
-    every column: the same pivots and the same clearing.  Only the signs
-    depend on p; the face lists are the complex's, shared by every field.
-    """
 
-    def __init__(self, cx: SimplicialComplex, p: int):
-        faces = cx.face_lists()
-        self.p = p
-        self.position = faces.position
-        pairs = zip(faces.buckets, faces.buckets[1:])
-        self.columns = [[], *(boundary_matrix(lower, upper, p) for lower, upper in pairs)]
+def _coboundary(faces: list[int], feasible: list[int], sigma: int, p: int):
+    """The coboundary columns of ``faces`` in the restriction to sigma over
+    GF(p), keyed by face: g + e has coefficient (-1)^(r-1), r the rank of e
+    in g + e, the coefficient of g in the boundary of g + e."""
+    for g in faces:
+        col = {}
+        m = feasible[g] & sigma
+        while m:
+            e = m & -m
+            m ^= e
+            col[g | e] = p - 1 if (g & (e - 1)).bit_count() & 1 else 1
+        yield col
 
 
 def homology_from_buckets(
-    buckets: list[list[int]], maps: BoundaryMaps, top: int | None = None
-) -> dict[int, int] | tuple[dict[int, int], dict[int, int]]:
-    """Reduced homology dimensions over GF(maps.p) of a subcomplex given by
-    face buckets, ranking the columns ``maps`` stores for its faces.
+    buckets: list[list[int]], sigma: int, feasible: list[int], primes: Sequence[int]
+) -> dict[int, dict[int, int]]:
+    """Reduced homology dimensions over every GF(p) in ``primes`` of the
+    restriction to sigma, whose faces ``buckets`` holds by cardinality
+    (``faces_by_cardinality``); ``feasible`` is the complex's table.
 
-    The boundary maps are ranked from the largest faces down, with clearing:
-    the pivot rows left by the map on card-(c+1) faces index card-c faces,
-    and those faces are left out of the map on card-c faces.  A stored pivot
-    column is a boundary, hence a cycle, with its largest face sigma (in
-    bitmask order, the order of the rows) at coefficient 1.  So the boundary
-    of sigma is a combination of the boundaries of faces below sigma, and by
-    induction on sigma it lies in the span of the columns kept: leaving it
-    out does not change the rank.
+    The coboundary maps are ranked from the smallest faces up, with
+    clearing, as the module docstring sets out: a map whose kept columns
+    have pairwise distinct largest rows is counted once for all fields that
+    have not parted, and a map where two share one is ranked by
+    ``column_rank`` in each of its fields, which go on apart from there.
 
-    With ``top``, a one-bit mask at or above every element of the faces,
-    the same sweep also gives the homology of the subcomplex of the
-    faces without top, and the pair (dims, dims without top) is returned.
-    In every bucket those faces come first, below the cut
-    ``bisect_left(bucket, top)``; their kept columns are ranked first, into
-    an empty basis, and the rest then extend it, so the count after the
-    first call is the smaller complex's rank and the total is the larger
-    one's.  Clearing with the larger complex's pivots stays valid for the
-    smaller one: a cleared face tau without top is the largest face of a
-    cycle, every other face of that cycle is smaller in bitmask order, so it
-    has no top either and lies in the smaller complex, and the argument
-    above runs there unchanged.
-
-    Returns a sparse mapping degree -> dim with zero entries omitted; the
-    void complex gives {}.
+    Returns p -> a sparse mapping degree -> dim, zero entries omitted; the
+    void complex gives {} for every p.  Fields that never part share one
+    mapping.
     """
-    cuts = [len(b) if top is None else bisect_left(b, top) for b in buckets]
-    # ranks[c], low_ranks[c]: rank of the boundary map from card-c faces to
-    # card-(c-1) faces, of the whole subcomplex and of its faces below the cut
-    ranks = [0] * (len(buckets) + 1)
-    low_ranks = [0] * (len(buckets) + 1)
-    pivots: dict[int, dict[int, int]] = {}
-    position, p = maps.position, maps.p
-    for c in range(len(buckets) - 1, 0, -1):
-        # pivots still holds the echelon basis of the map on card-(c+1) faces
-        columns, faces, cut = maps.columns[c], buckets[c], cuts[c]
-        low = [columns[j] for j in map(position.__getitem__, faces[:cut]) if j not in pivots]
-        high = [columns[j] for j in map(position.__getitem__, faces[cut:]) if j not in pivots]
-        pivots = {}
-        low_ranks[c] = column_rank(low, p, pivots)
-        ranks[c] = low_ranks[c] + column_rank(high, p, pivots)
-
-    def dims(sizes, rank):
-        found = {c - 1: size - rank[c] - rank[c + 1] for c, size in enumerate(sizes)}
-        return {d: h for d, h in found.items() if h}
-
-    whole = dims(map(len, buckets), ranks)
-    return whole if top is None else (whole, dims(cuts, low_ranks))
+    # (fields, the pivot rows of their last map, ranks): ranks[c] is the
+    # rank of the map from card-(c-1) to card-c faces
+    groups = [(tuple(primes), (), [0] * (len(buckets) + 1))]
+    for c in range(1, len(buckets)):
+        split = []
+        for fields, cleared, ranks in groups:
+            kept = [g for g in buckets[c - 1] if g not in cleared]
+            rows = _largest_rows(kept, feasible, sigma)
+            pivots = set(rows)
+            if len(pivots) == len(rows):
+                ranks[c] = len(rows)
+                split.append((fields, pivots, ranks))
+                continue
+            for p in fields:
+                basis: dict[int, dict[int, int]] = {}
+                field_ranks = ranks.copy()
+                field_ranks[c] = column_rank(_coboundary(kept, feasible, sigma, p), p, basis)
+                split.append(((p,), basis, field_ranks))
+        groups = split
+    sizes = [len(faces) for faces in buckets]
+    out = {}
+    for fields, _, ranks in groups:
+        found = {c - 1: size - ranks[c] - ranks[c + 1] for c, size in enumerate(sizes)}
+        dims = {d: h for d, h in found.items() if h}
+        out.update(dict.fromkeys(fields, dims))
+    return out
 
 
 def reduced_homology(cx: SimplicialComplex, field: PrimeField | int = 2) -> dict[int, int]:
     """Reduced homology dimensions of the complex over GF(p), sparse by degree:
     the restriction to the whole ground set."""
     p = as_field(field).p
-    if cx.is_void:
-        return {}
-    return homology_from_buckets(faces_by_cardinality(cx, (1 << cx.n) - 1), BoundaryMaps(cx, p))
+    full = (1 << cx.n) - 1
+    return homology_from_buckets(faces_by_cardinality(cx, full), full, cx.feasible(), (p,))[p]
 
 
 def reduced_euler_char(cx: SimplicialComplex) -> int:

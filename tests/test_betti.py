@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ghw import simplicial
 from ghw.betti import (
     BettiTable,
     betti_fine_alexander,
@@ -10,14 +11,9 @@ from ghw.betti import (
     betti_fine_matroid,
     render_diagram,
 )
+from ghw.finfield import column_rank
 from ghw.matroid import CapExceeded, Matroid
-from ghw.simplicial import (
-    BoundaryMaps,
-    SimplicialComplex,
-    faces_by_cardinality,
-    homology_from_buckets,
-    independence_complex,
-)
+from ghw.simplicial import SimplicialComplex, faces_by_cardinality, independence_complex
 
 from workeddata import (
     CIRCUITS_M1,
@@ -31,6 +27,7 @@ from workeddata import (
     RP2_FACETS,
     TORUS_FACETS,
     diagram_rows,
+    homology_without_clearing,
     pm,
     pset,
 )
@@ -127,15 +124,28 @@ def _single_field_tables(n, facets):
     return {p: betti_fine_hochster(SimplicialComplex(n, facets), p) for p in SWEEP_FIELDS}
 
 
+def _hochster_without_clearing(cx):
+    # Reference: every mask's boundary maps ranked in full, one field at a time.
+    tables = {}
+    for p in SWEEP_FIELDS:
+        fine = {}
+        for mask in range(1 << cx.n):
+            dims = homology_without_clearing(faces_by_cardinality(cx, mask), p)
+            for degree, value in dims.items():
+                fine[(mask.bit_count() - degree - 1, mask)] = value
+        tables[p] = BettiTable(cx.n, fine)
+    return tables
+
+
 def test_hochster_one_sweep_equals_single_fields(m1):
     rp2 = pset(RP2_FACETS)
-    # The cone over the projective plane with apex 7, the largest vertex:
-    # its pivots depend on the field below the top map, where a clearing set
-    # carried from one field into the next would be used.
+    # The cone over the projective plane with apex 7: its restrictions
+    # without the apex part GF(2) from GF(3), and those with it do not.
     cone = [f | 1 << 6 for f in rp2]
     m1_dual = independence_complex(m1).alexander_dual().facets
     for n, facets in ((6, rp2), (7, cone), (7, pset(TORUS_FACETS)), (6, m1_dual)):
         single = _single_field_tables(n, facets)
+        assert single == _hochster_without_clearing(SimplicialComplex(n, facets))
         for fields in (SWEEP_FIELDS, SWEEP_FIELDS[::-1]):
             assert betti_fine_hochster(SimplicialComplex(n, facets), fields) == single
     # the projective plane's tables differ by field
@@ -155,42 +165,40 @@ def test_hochster_one_sweep_random_complexes(case):
     n, facets = case
     swept = betti_fine_hochster(SimplicialComplex(n, facets), SWEEP_FIELDS)
     assert swept == _single_field_tables(n, facets)
+    assert swept == _hochster_without_clearing(SimplicialComplex(n, facets))
 
 
-def _hochster_one_mask_at_a_time(cx):
-    # Reference: every mask's restriction reduced on its own, in one field.
-    tables = {}
-    for p in SWEEP_FIELDS:
-        maps = BoundaryMaps(cx, p)
-        fine = {}
-        for mask in range(1 << cx.n):
-            dims = homology_from_buckets(faces_by_cardinality(cx, mask), maps)
-            for degree, value in dims.items():
-                fine[(mask.bit_count() - degree - 1, mask)] = value
-        tables[p] = BettiTable(cx.n, fine)
-    return tables
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(0, 7).flatmap(
-        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6))
-    )
-)
-def test_hochster_pair_sweep_equals_one_mask_at_a_time(case):
-    n, facets = case
-    cx = SimplicialComplex(n, facets)
-    assert betti_fine_hochster(cx, SWEEP_FIELDS) == _hochster_one_mask_at_a_time(cx)
-
-
-def test_hochster_pair_sweep_edge_cases(m1):
-    # n = 0 has no top element; n = 1 pairs {} with {1}; a void complex has
-    # no faces and an empty table.
+def test_hochster_sweep_edge_cases(m1):
+    # n = 0 has the one mask 0; a void complex has no faces and an empty table.
     cases = [(0, [0]), (0, []), (1, [0]), (1, [1]), (1, []), (4, []), (7, pset(TORUS_FACETS))]
     for cx in [SimplicialComplex(n, facets) for n, facets in cases] + [independence_complex(m1)]:
-        assert betti_fine_hochster(cx, SWEEP_FIELDS) == _hochster_one_mask_at_a_time(cx)
+        assert betti_fine_hochster(cx, SWEEP_FIELDS) == _hochster_without_clearing(cx)
     assert betti_fine_hochster(SimplicialComplex(0, [0]), 2).fine == {(0, 0): 1}
     assert betti_fine_hochster(SimplicialComplex(4, []), 2).fine == {}
+
+
+def test_hochster_kernel_case_is_reached(m1, monkeypatch):
+    # On the projective plane and on an Alexander dual, some map has two kept
+    # columns with the same largest row, so it goes to column_rank in every
+    # field; on the projective plane that is where GF(2) parts from GF(3).
+    # m1's independence complex, a matroid complex, never gets there.
+    fields = []
+
+    def recording(columns, p, pivots=None):
+        fields.append(p)
+        return column_rank(columns, p, pivots)
+
+    monkeypatch.setattr(simplicial, "column_rank", recording)
+    tables = betti_fine_hochster(SimplicialComplex(6, pset(RP2_FACETS)), SWEEP_FIELDS)
+    assert set(fields) == set(SWEEP_FIELDS)
+    assert tables[2] != tables[3] == tables[5]
+    fields.clear()
+    m1_cx = independence_complex(m1)
+    assert betti_fine_hochster(m1_cx.alexander_dual(), SWEEP_FIELDS)[3] == betti_fine_alexander(m1)
+    assert set(fields) == set(SWEEP_FIELDS)
+    fields.clear()
+    assert betti_fine_hochster(m1_cx, SWEEP_FIELDS)[5] == betti_fine_matroid(m1)
+    assert fields == []
 
 
 def test_hochster_single_variable_ideal():

@@ -9,7 +9,6 @@ from ghw.finfield import column_rank
 from ghw.matroid import Matroid, elements, mask_of
 from ghw.simplicial import (
     SUBMASK_WALK_MAX,
-    BoundaryMaps,
     SimplicialComplex,
     boundary_matrix,
     faces_by_cardinality,
@@ -20,7 +19,15 @@ from ghw.simplicial import (
     reduced_homology,
 )
 
-from workeddata import ALEXANDER_FACETS_M1, BASES_M1, RP2_FACETS, TORUS_FACETS, pm, pset
+from workeddata import (
+    ALEXANDER_FACETS_M1,
+    BASES_M1,
+    RP2_FACETS,
+    TORUS_FACETS,
+    homology_without_clearing,
+    pm,
+    pset,
+)
 
 RP2 = SimplicialComplex(6, pset(RP2_FACETS))
 TORUS = SimplicialComplex(7, pset(TORUS_FACETS))
@@ -236,17 +243,7 @@ def test_torus_homology(p):
     assert reduced_homology(TORUS, p) == {1: 2, 2: 1}
 
 
-def _full_ranks(buckets, p):
-    """Reference: [0, rank of the map on card-1 faces, ..., on the top faces, 0],
-    each map built in full and ranked on its own."""
-    pairs = zip(buckets, buckets[1:])
-    return [0, *(column_rank(boundary_matrix(lo, hi, p), p) for lo, hi in pairs), 0]
-
-
-def _homology_without_clearing(buckets, p):
-    ranks = _full_ranks(buckets, p)
-    dims = {c - 1: len(faces) - ranks[c] - ranks[c + 1] for c, faces in enumerate(buckets)}
-    return {d: h for d, h in dims.items() if h}
+FIELDS = (2, 3, 5)
 
 
 @settings(max_examples=300, deadline=None)
@@ -258,85 +255,100 @@ def _homology_without_clearing(buckets, p):
             st.integers(0, (1 << n) - 1),
         )
     ),
-    st.sampled_from([2, 3, 5]),
+    st.sampled_from(FIELDS),
 )
 def test_clearing_matches_full_ranks(case, p):
     n, facets, within = case
     cx = SimplicialComplex(n, facets)
-    maps = BoundaryMaps(cx, p)
     for sigma in ((1 << n) - 1, within):
         buckets = faces_by_cardinality(cx, sigma)
-        dims = homology_from_buckets(buckets, maps)
-        assert dims == _homology_without_clearing(buckets, p)
+        dims = homology_from_buckets(buckets, sigma, cx.feasible(), (p,))[p]
+        assert dims == homology_without_clearing(buckets, p)
         alt = sum(h if d % 2 == 0 else -h for d, h in dims.items())
         assert alt == reduced_euler_char(cx.restrict(sigma))
 
 
-def _assert_pairs_match_reference(cx):
-    # Every sigma without the top element: one reduction on sigma + top gives
-    # the homology of both restrictions, each equal to ranking its own maps
-    # in full, over every field.
-    top = 1 << (cx.n - 1)
-    maps = [BoundaryMaps(cx, p) for p in (2, 3, 5)]
-    for sigma in range(top):
-        with_top = faces_by_cardinality(cx, sigma | top)
-        without_top = faces_by_cardinality(cx, sigma)
-        for field_maps in maps:
-            assert homology_from_buckets(with_top, field_maps, top) == (
-                _homology_without_clearing(with_top, field_maps.p),
-                _homology_without_clearing(without_top, field_maps.p),
-            )
+def _assert_sweep_matches_reference(cx):
+    # Every restriction, all three fields in one sweep: each field's dims
+    # equal ranking its boundary maps in full, without clearing.
+    for sigma in range(1 << cx.n):
+        buckets = faces_by_cardinality(cx, sigma)
+        swept = homology_from_buckets(buckets, sigma, cx.feasible(), FIELDS)
+        assert swept == {p: homology_without_clearing(buckets, p) for p in FIELDS}
 
 
+# On these random complexes two kept columns share a largest row in 1-3% of
+# the maps, a few hundred per run, so the kernel case and the fields'
+# parting are exercised too, not only the fast count.
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(1, 9).flatmap(
         lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6))
     )
 )
-def test_pair_reduction_matches_full_ranks(case):
+def test_cohomology_sweep_matches_full_ranks(case):
     n, facets = case
-    _assert_pairs_match_reference(SimplicialComplex(n, facets))
+    _assert_sweep_matches_reference(SimplicialComplex(n, facets))
 
 
-def test_pair_reduction_on_examples(m1):
+def test_cohomology_sweep_on_examples(m1):
     m1_cx = independence_complex(m1)
-    for cx in (RP2, TORUS, m1_cx, m1_cx.alexander_dual()):
-        _assert_pairs_match_reference(cx)
+    rp2_cone = SimplicialComplex(7, [f | 1 << 6 for f in pset(RP2_FACETS)])
+    for cx in (RP2, TORUS, rp2_cone, m1_cx, m1_cx.alexander_dual()):
+        _assert_sweep_matches_reference(cx)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+def _coboundary_pivots(lower, upper, p):
+    """Reference: the pivot rows of the coboundary map from ``lower`` to
+    ``upper`` faces, the transposed boundary map, ranked in full with rows
+    keyed by face (so a column's pivot is its largest face)."""
+    columns = [{} for _ in lower]
+    for face, col in zip(upper, boundary_matrix(lower, upper, p)):
+        for row, v in col.items():
+            columns[row][face] = v
+    pivots = {}
+    column_rank(columns, p, pivots)
+    return set(pivots)
+
+
+@pytest.mark.parametrize("p", FIELDS)
 def test_clearing_skips_paired_faces(p, m1, monkeypatch):
-    # The map on card-c faces is ranked only on the faces that the map on
-    # card-(c+1) faces left without a pivot, largest faces first.  Each map
-    # is ranked in two calls, the faces below the cut and then the rest, so
-    # the columns are counted per cardinality, with and without a top split.
-    ranked = []
+    # The map from card-(c-1) to card-c faces gets a column for exactly the
+    # card-(c-1) faces that are no pivot row of the map below, that map
+    # ranked in full.  A map that reaches the kernel ranks those columns.
+    events = []
+    plain_rows = simplicial._largest_rows
 
-    def recording(columns, p, pivots=None):
+    def offered(faces, feasible, sigma):
+        events.append(("offered", list(faces)))
+        return plain_rows(faces, feasible, sigma)
+
+    def ranked(columns, p, pivots=None):
         columns = list(columns)
-        ranked.append(len(columns))
+        events.append(("ranked", len(columns)))
         return column_rank(columns, p, pivots)
 
-    def per_cardinality():
-        return [a + b for a, b in zip(ranked[::2], ranked[1::2])]
-
-    monkeypatch.setattr(simplicial, "column_rank", recording)
+    monkeypatch.setattr(simplicial, "_largest_rows", offered)
+    monkeypatch.setattr(simplicial, "column_rank", ranked)
     m1_cx = independence_complex(m1)
+    kernel_maps = 0
     for cx in (RP2, TORUS, m1_cx, m1_cx.alexander_dual()):
-        buckets = faces_by_cardinality(cx, (1 << cx.n) - 1)
-        ranks = _full_ranks(buckets, p)
-        maps = BoundaryMaps(cx, p)
-        expected = [len(buckets[c]) - ranks[c + 1] for c in range(len(buckets) - 1, 0, -1)]
-        for top in (None, 1 << (cx.n - 1)):
-            ranked.clear()
-            homology_from_buckets(buckets, maps, top)
-            assert len(ranked) == 2 * len(expected)
-            assert per_cardinality() == expected
+        for sigma in range(1 << cx.n):
+            buckets = faces_by_cardinality(cx, sigma)
+            events.clear()
+            homology_from_buckets(buckets, sigma, cx.feasible(), (p,))
+            cleared = [set(), *(_coboundary_pivots(lo, hi, p) for lo, hi in zip(buckets, buckets[1:]))]
+            expected = [[g for g in buckets[c - 1] if g not in cleared[c - 1]] for c in range(1, len(buckets))]
+            assert [faces for kind, faces in events if kind == "offered"] == expected
+            for (kind, count), (_, faces) in zip(events[1:], events):
+                if kind == "ranked":
+                    kernel_maps += 1
+                    assert count == len(faces)
+    assert kernel_maps > 0
     # The full simplex is acyclic: every column kept becomes a pivot.
-    ranked.clear()
+    events.clear()
     reduced_homology(SimplicialComplex(6, [(1 << 6) - 1]), p)
-    assert per_cardinality() == [comb(5, c - 1) for c in range(6, 0, -1)]
+    assert [len(faces) for _, faces in events] == [comb(5, c - 1) for c in range(1, 7)]
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,7 +2,9 @@
 
 from pathlib import Path
 
+from ghw.finfield import column_rank
 from ghw.matroid import mask_of
+from ghw.simplicial import boundary_matrix
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -78,3 +80,13 @@ WHITNEY_M1 = {
 def diagram_rows(text):
     """Diagram body lines with runs of spaces collapsed, header dropped."""
     return [" ".join(line.split()) for line in text.splitlines()[1:]]
+
+
+def homology_without_clearing(buckets, p):
+    """Reference reduced homology over GF(p) of the faces in ``buckets``
+    (``faces_by_cardinality``): every boundary map built in full and ranked
+    on its own."""
+    pairs = zip(buckets, buckets[1:])
+    ranks = [0, *(column_rank(boundary_matrix(lo, hi, p), p) for lo, hi in pairs), 0]
+    dims = {c - 1: len(faces) - ranks[c] - ranks[c + 1] for c, faces in enumerate(buckets)}
+    return {d: h for d, h in dims.items() if h}
